@@ -6,7 +6,7 @@ pairs where neither endpoint is j or one of j's neighbors; the local term is
 the remainder. Everything here is unweighted (BFS shortest paths), even when
 the graph stores weights.
 
-The fast path is a level-synchronous Brandes sweep per source. On top of the
+The engine is a level-synchronous Brandes sweep from every source. On top of the
 usual dependency accumulation it tracks two extra per-node accumulators that
 make the decomposition exact in O(n*m)-style passes:
 
@@ -17,12 +17,39 @@ make the decomposition exact in O(n*m)-style passes:
   (single-edge legs have sigma = 1), so those pairs would otherwise be
   double-counted by 2*l1.
 
-Ordered local term = 2*l1 - p; bridgeness = bc - local. All public results
-use the unordered-pair convention (ordered sums halved once at the end).
+Ordered local term = 2*l1 - p; bridgeness = bc - local; the source-side
+filtered variant si = bc - l1. All public results use the unordered-pair
+convention (ordered sums halved once at the end), and all four come from
+one sweep.
 
-Per-source sweeps are independent: sources are processed in fixed chunks and
-chunk partials are reduced in chunk order, so results are identical for any
-worker count.
+Block engine. B sources are swept at once, as one BFS over B disjoint copies
+of the graph held in n x B arrays (column k belongs to the k-th source):
+
+* forward, one level per step: ``A @ frontier`` with ``A`` the CSR matrix of
+  ones and ``frontier`` holding sigma on the current level and 0 elsewhere;
+* backward: the (node, source) cells of a level are expanded into their
+  incidences, and each predecessor v of w receives
+  ``sigma[v] / sigma[w] * (1 + delta[w])`` by ``np.add.at``.
+
+Results are bit-identical to sweeping one source at a time, because every
+sum has the same terms in the same order: the sparse product adds a row's
+neighbors in increasing index order starting from 0 (terms off the frontier
+are exact zeros), the backward pass keeps the per-term expression and its
+increasing-successor order (a product ``sigma * (A @ ((1 + delta) / sigma))``
+would reassociate it), ``bc`` and ``l1`` take each source's terms in source
+order, and each ``p`` term is an ``np.add.reduceat`` over a segment that
+starts with 0.0, which groups its sum exactly as ``np.sum`` does.
+
+Memory per sweeping process is bounded beyond the graph and its sparse
+copy. The n x B arrays hold at most ``_CELL_BYTES`` = 48 bytes per cell at
+once, and B = _BUDGET // (48 n), clamped to [1, _CHUNK], keeps them within
+``_BUDGET`` = 1 MiB (48 n bytes once n > 10922 forces B = 1). Incidences
+are expanded in pieces of about ``_PIECE`` = 8192, at most 64 bytes each,
+so a piece holds at most 64 * (8192 + max degree) bytes: about 1.5 MiB in
+all for graphs up to 10922 nodes and degrees in the hundreds.
+
+Sources are processed in fixed chunks of ``_CHUNK`` and chunk partials are
+reduced in chunk order, so results are identical for any worker count.
 """
 from __future__ import annotations
 
@@ -33,133 +60,176 @@ from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .graph import Graph, NodeTable
 
-_CHUNK = 64  # fixed, worker-count independent
+_CHUNK = 64  # sources per reduction unit; fixed, worker-count independent
+_BUDGET = 1 << 20  # bytes for the n x B arrays of one block
+_CELL_BYTES = 48  # most bytes held at once per (node, source) cell
+_PIECE = 1 << 13  # incidences per expansion piece, at most 64 bytes each
 
 PAIR_CONVENTION = "unordered"
 
 
 @dataclass(frozen=True)
 class CentralityResult:
-    """Per-node betweenness, bridgeness and local scores from one run."""
+    """Per-node bc = bridgeness + local, and ``si`` (see ``bridgeness_si_compat``)."""
 
     bc: np.ndarray
     bridgeness: np.ndarray
     local: np.ndarray
+    si: np.ndarray
     convention: str = PAIR_CONVENTION
 
 
-def _expand_frontier(indptr, indices, frontier):
-    """All (source, neighbor) incidences leaving ``frontier``, flattened."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-    return np.repeat(frontier, counts), indices[flat]
+def _block_width(n: int) -> int:
+    """Sources per block: as many as the budget holds, at most one chunk."""
+    return max(1, min(_CHUNK, _BUDGET // (_CELL_BYTES * n)))
 
 
-def _single_source_sweep(indptr, indices, n, source):
-    """BFS distances, path counts and dependencies from one source."""
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    dist[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    frontiers = []
-    level = 0
-    while frontier.size:
-        frontiers.append(frontier)
-        src, nbr = _expand_frontier(indptr, indices, frontier)
-        if nbr.size == 0:
-            break
-        fresh = dist[nbr] < 0
-        if fresh.any():
-            dist[nbr[fresh]] = level + 1
-        tree = dist[nbr] == level + 1
-        np.add.at(sigma, nbr[tree], sigma[src[tree]])
-        frontier = np.unique(nbr[fresh])
-        level += 1
-
-    delta = np.zeros(n, dtype=np.float64)
-    for frontier in reversed(frontiers[1:]):
-        w, nbr = _expand_frontier(indptr, indices, frontier)
-        pred = dist[nbr] == dist[frontier[0]] - 1
-        v = nbr[pred]
-        ww = w[pred]
-        np.add.at(delta, v, sigma[v] / sigma[ww] * (1.0 + delta[ww]))
-    return dist, sigma, delta
+def _ragged_arange(starts, counts):
+    """``arange(s, s + c)`` for each (s, c) pair, concatenated."""
+    first = np.cumsum(counts) - counts
+    return np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
 
 
-def _accumulate_sources(indptr, indices, n, sources):
-    """Sum per-source contributions to (bc, l1, p) over ``sources`` in order."""
-    bc = np.zeros(n, dtype=np.float64)
-    l1 = np.zeros(n, dtype=np.float64)
-    p = np.zeros(n, dtype=np.float64)
-    for s in sources:
-        dist, sigma, delta = _single_source_sweep(indptr, indices, n, s)
-        delta[s] = 0.0
-        bc += delta
-        nbrs = indices[indptr[s] : indptr[s + 1]]
-        l1[nbrs] += delta[nbrs]
-        for j in nbrs:
-            nb_j = indices[indptr[j] : indptr[j + 1]]
-            at_two = dist[nb_j] == 2
-            if at_two.any():
-                p[j] += float((1.0 / sigma[nb_j[at_two]]).sum())
+def _pieces(counts):
+    """Slices of consecutive items holding about ``_PIECE`` incidences each.
+
+    A piece exceeds ``_PIECE`` by less than the count of its first item.
+    """
+    if len(counts) == 0:
+        return []
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(_PIECE, ends[-1], _PIECE), side="right")
+    bounds = [0, *cuts.tolist(), len(counts)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _sweep_block(indptr, indices, adj, sources):
+    """BFS distances, path counts and dependencies of ``sources`` (n x B).
+
+    A cell is a (node, column) pair, flattened to node * B + column.
+    """
+    n, width = adj.shape[0], len(sources)
+    dist = np.full(n * width, -1, dtype=np.int32)
+    sigma = np.zeros(n * width)
+    frontier = sources * width + np.arange(width)
+    dist[frontier] = 0
+    sigma[frontier] = 1.0
+    levels = []  # sorted cells at each distance
+    while len(frontier):
+        levels.append(frontier)
+        spread = np.zeros(n * width)
+        spread[frontier] = sigma[frontier]
+        reached = (adj @ spread.reshape(n, width)).ravel()
+        del spread
+        frontier = np.flatnonzero((reached != 0.0) & (dist < 0))
+        sigma[frontier] = reached[frontier]
+        dist[frontier] = len(levels)
+        del reached
+
+    delta = np.zeros(n * width)
+    degree = np.diff(indptr)
+    # level-1 terms reach only the sources, whose delta is dropped anyway
+    for d in range(len(levels) - 1, 1, -1):
+        nodes = levels[d] // width
+        counts = degree[nodes]
+        for part in _pieces(counts):
+            cells, w, cnt = levels[d][part], nodes[part], counts[part]
+            succ = np.repeat(cells, cnt)
+            pred = indices[_ragged_arange(indptr[w], cnt)] * width
+            pred += np.repeat(cells - w * width, cnt)
+            keep = dist[pred] == d - 1
+            pred, succ = pred[keep], succ[keep]
+            np.add.at(delta, pred, sigma[pred] / sigma[succ] * (1.0 + delta[succ]))
+    return dist.reshape(n, width), sigma.reshape(n, width), delta.reshape(n, width)
+
+
+def _accumulate_block(indptr, indices, adj, sources, bc, l1, p):
+    """Add the (bc, l1, p) terms of ``sources`` into the partials, in source order."""
+    dist, sigma, delta = _sweep_block(indptr, indices, adj, sources)
+    for k in range(len(sources)):
+        bc += delta[:, k]
+    degree = np.diff(indptr)
+    nbrs = indices[_ragged_arange(indptr[sources], degree[sources])]
+    col = np.repeat(np.arange(len(sources)), degree[sources])
+    np.add.at(l1, nbrs, delta[nbrs, col])
+    for part in _pieces(degree[nbrs]):
+        j, k = nbrs[part], col[part]
+        cnt = degree[j]
+        x = indices[_ragged_arange(indptr[j], cnt)]
+        kx = np.repeat(k, cnt)
+        pair = np.repeat(np.arange(len(j)), cnt)
+        keep = dist[x, kx] == 2
+        x, kx, pair = x[keep], kx[keep], pair[keep]
+        # segment q holds 0.0 and then pair q's terms in neighbor order
+        kept = np.bincount(pair, minlength=len(j))
+        starts = np.arange(len(j)) + np.cumsum(kept) - kept
+        terms = np.zeros(len(j) + len(x))
+        terms[np.arange(len(x)) + pair + 1] = 1.0 / sigma[x, kx]
+        np.add.at(p, j, np.add.reduceat(terms, starts))
+
+
+def _accumulate_chunk(indptr, indices, adj, lo, hi):
+    """Sum per-source contributions to (bc, l1, p) over sources lo..hi-1 in order."""
+    n = adj.shape[0]
+    bc = np.zeros(n)
+    l1 = np.zeros(n)
+    p = np.zeros(n)
+    width = _block_width(n)
+    for start in range(lo, hi, width):
+        sources = np.arange(start, min(start + width, hi))
+        _accumulate_block(indptr, indices, adj, sources, bc, l1, p)
     return bc, l1, p
+
+
+def _adjacency(indptr, indices):
+    n = len(indptr) - 1
+    return csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 _WORKER_GRAPH: tuple | None = None
 
 
-def _worker_init(indptr, indices, n):
+def _worker_init(indptr, indices):
     global _WORKER_GRAPH
-    _WORKER_GRAPH = (indptr, indices, n)
+    _WORKER_GRAPH = (indptr, indices, _adjacency(indptr, indices))
 
 
 def _worker_chunk(bounds):
-    indptr, indices, n = _WORKER_GRAPH
-    lo, hi = bounds
-    return _accumulate_sources(indptr, indices, n, range(lo, hi))
+    return _accumulate_chunk(*_WORKER_GRAPH, *bounds)
+
+
+def _sum_partials(n, partials):
+    totals = (np.zeros(n), np.zeros(n), np.zeros(n))
+    for partial in partials:
+        for total, part in zip(totals, partial):
+            total += part
+    return totals
 
 
 def _brandes_accumulate(graph: Graph, workers: int = 1):
     """(ordered bc, l1, p) accumulators over all sources.
 
     Chunk boundaries are fixed, and chunk partials are reduced in chunk
-    order, so the result does not depend on the worker count.
+    order, so the result does not depend on the worker count. The pool
+    starts at most one process per chunk.
     """
     n = graph.node_count
-    if n == 0:
-        z = np.zeros(0, dtype=np.float64)
-        return z, z.copy(), z.copy()
     bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if workers <= 1 or len(bounds) == 1:
-        partials = [
-            _accumulate_sources(graph.indptr, graph.indices, n, range(lo, hi))
-            for lo, hi in bounds
-        ]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(graph.indptr, graph.indices, n),
-        ) as pool:
-            partials = list(pool.map(_worker_chunk, bounds))
-    bc = np.zeros(n, dtype=np.float64)
-    l1 = np.zeros(n, dtype=np.float64)
-    p = np.zeros(n, dtype=np.float64)
-    for part_bc, part_l1, part_p in partials:
-        bc += part_bc
-        l1 += part_l1
-        p += part_p
-    return bc, l1, p
+    workers = min(workers, len(bounds))
+    if workers <= 1:
+        adj = _adjacency(graph.indptr, graph.indices)
+        return _sum_partials(n, (_accumulate_chunk(graph.indptr, graph.indices, adj, lo, hi)
+                                 for lo, hi in bounds))
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_worker_init,
+        initargs=(graph.indptr, graph.indices),
+    ) as pool:
+        return _sum_partials(n, pool.map(_worker_chunk, bounds))
 
 
 def _decompose(bc_o, l1, p):
@@ -178,23 +248,21 @@ def _decompose(bc_o, l1, p):
 
 def betweenness(graph: Graph, *, workers: int = 1) -> np.ndarray:
     """Unnormalized betweenness centrality (unordered pairs, BFS paths)."""
-    bc_o, _, _ = _brandes_accumulate(graph, workers)
-    return bc_o / 2.0
+    return bridgeness_exact(graph, workers=workers).bc
 
 
 def bridgeness_exact(graph: Graph, *, workers: int = 1) -> CentralityResult:
-    """Betweenness split into bridgeness and local terms.
+    """Betweenness split into bridgeness and local terms, plus ``si``.
 
     Bridgeness of j counts only pairs with both endpoints outside
     N(j) | {j}; local is the complement, so bc = bridgeness + local.
     """
-    bc_o, l1, p = _brandes_accumulate(graph, workers)
-    bc, bri, local, _ = _decompose(bc_o, l1, p)
-    return CentralityResult(bc=bc, bridgeness=bri, local=local)
+    bc, bri, local, si = _decompose(*_brandes_accumulate(graph, workers))
+    return CentralityResult(bc=bc, bridgeness=bri, local=local, si=si)
 
 
 def bridgeness_si_compat(graph: Graph, *, workers: int = 1) -> np.ndarray:
-    """Source-side-filtered bridgeness variant.
+    """Source-side-filtered bridgeness variant (``bridgeness_exact(...).si``).
 
     Per source s, the dependency of j is counted only when d(s, j) > 1.
     This filters neighbors out of the source side of each pair but not the
@@ -202,9 +270,7 @@ def bridgeness_si_compat(graph: Graph, *, workers: int = 1) -> np.ndarray:
     half its weight: the result equals exact bridgeness plus half of that
     mixed-pair term, and upper-bounds exact bridgeness everywhere.
     """
-    bc_o, l1, p = _brandes_accumulate(graph, workers)
-    _, _, _, si = _decompose(bc_o, l1, p)
-    return si
+    return bridgeness_exact(graph, workers=workers).si
 
 
 def _bfs_counts(adj: list[list[int]], n: int, source: int):
@@ -235,7 +301,7 @@ def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
     For every node j and every unordered pair {i, k}, j is on a shortest
     i-k path iff d(i, j) + d(j, k) = d(i, k), in which case it carries
     sigma_ij * sigma_jk / sigma_ik. The neighborhood filter is applied
-    literally for the bridgeness term.
+    literally for the bridgeness term, and to the source side only for si.
     """
     n = graph.node_count
     adj = [[int(w) for w in graph.neighbors(v)] for v in range(n)]
@@ -250,6 +316,7 @@ def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
 
     bc = np.zeros(n, dtype=np.float64)
     bri = np.zeros(n, dtype=np.float64)
+    si = np.zeros(n, dtype=np.float64)
     sigma_safe = np.where(sigma > 0, sigma, 1.0)
     for j in range(n):
         through = (dist[:, j][:, None] + dist[j, :][None, :]) == dist
@@ -260,10 +327,11 @@ def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
         np.fill_diagonal(frac, 0.0)
         bc[j] = frac.sum() / 2.0
         nbrs = adj[j]
-        frac[nbrs, :] = 0.0
+        frac[nbrs, :] = 0.0  # ordered pairs whose source is not adjacent to j
+        si[j] = frac.sum() / 2.0
         frac[:, nbrs] = 0.0
         bri[j] = frac.sum() / 2.0
-    return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri)
+    return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri, si=si)
 
 
 def locterm_by_degree(result: CentralityResult, graph: Graph) -> dict[int, float]:
@@ -325,11 +393,14 @@ def write_centrality_json(
 
 
 def default_workers() -> int:
-    """Worker count from BRIDGENESS_WORKERS, else available parallelism."""
+    """Worker count from BRIDGENESS_WORKERS, else the cores this process may use."""
     env = os.environ.get("BRIDGENESS_WORKERS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1

@@ -17,10 +17,8 @@ from pathlib import Path
 from . import __version__
 from .centrality import (
     CentralityResult,
-    betweenness,
     bridgeness_bruteforce,
     bridgeness_exact,
-    bridgeness_si_compat,
     default_workers,
     locterm_by_degree,
     write_centrality_csv,
@@ -113,9 +111,9 @@ def _compute_variant(graph, variant: str, workers: int) -> CentralityResult:
     if variant == "exact":
         return bridgeness_exact(graph, workers=workers)
     if variant == "si-compat":
-        si = bridgeness_si_compat(graph, workers=workers)
-        bc = betweenness(graph, workers=workers)
-        return CentralityResult(bc=bc, bridgeness=si, local=bc - si)
+        result = bridgeness_exact(graph, workers=workers)
+        return CentralityResult(bc=result.bc, bridgeness=result.si,
+                                local=result.bc - result.si, si=result.si)
     if variant == "bruteforce":
         if graph.node_count > BRUTEFORCE_WARN_NODES:
             print(

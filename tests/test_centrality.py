@@ -1,5 +1,6 @@
 import io
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,9 +13,18 @@ from bridgeness import (
     bridgeness_si_compat,
     locterm_by_degree,
 )
+from bridgeness import centrality
 from bridgeness.centrality import write_centrality_csv, centrality_records
 
-from util import complete_graph, er_graph, path_graph, si_compat_oracle, star_graph
+from util import (
+    complete_graph,
+    er_graph,
+    grid_graph,
+    path_graph,
+    si_compat_oracle,
+    small_lfr_graph,
+    star_graph,
+)
 
 TRIANGLE_BRIDGE = Graph.from_edges(
     7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 6), (6, 3)]
@@ -128,11 +138,46 @@ def test_decomposition_and_ordering_invariants():
 
 def test_worker_count_does_not_change_results():
     rng = np.random.default_rng(17)
-    g = er_graph(150, 0.05, rng)
+    edges = [(i, j) for i in range(140) for j in range(i + 1, 140) if rng.random() < 0.05]
+    g = Graph.from_edges(150, edges)  # 3 chunks, the last partial; nodes 140..149 isolated
     serial = bridgeness_exact(g, workers=1)
-    parallel = bridgeness_exact(g, workers=2)
-    assert np.array_equal(serial.bc, parallel.bc)
-    assert np.array_equal(serial.bridgeness, parallel.bridgeness)
+    for workers in (2, 3):
+        parallel = bridgeness_exact(g, workers=workers)
+        for field in ("bc", "bridgeness", "local", "si"):
+            assert np.array_equal(getattr(serial, field), getattr(parallel, field))
+    assert np.array_equal(bridgeness_si_compat(g), serial.si)
+
+
+def test_pool_starts_at_most_one_process_per_chunk(monkeypatch):
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(centrality, "ProcessPoolExecutor", RecordingPool)
+    rng = np.random.default_rng(23)
+    three_chunks = er_graph(130, 0.05, rng)
+    serial = bridgeness_exact(three_chunks, workers=1)
+    assert np.array_equal(bridgeness_exact(three_chunks, workers=8).bc, serial.bc)
+    assert started == [3]
+    bridgeness_exact(er_graph(64, 0.1, rng), workers=8)  # one chunk: no pool
+    assert started == [3]
+
+
+def test_bc_matches_networkx():
+    import networkx as nx
+
+    for g in (grid_graph(30, np.random.default_rng(0)), small_lfr_graph()):
+        reference = nx.Graph()
+        reference.add_nodes_from(range(g.node_count))
+        reference.add_edges_from(
+            (v, int(w)) for v in range(g.node_count) for w in g.neighbors(v) if v < w)
+        expected = nx.betweenness_centrality(reference, normalized=False)
+        expected = np.array([expected[v] for v in range(g.node_count)])
+        scale = np.maximum(np.abs(expected), 1.0)
+        assert np.all(np.abs(betweenness(g) - expected) / scale < 1e-9)
 
 
 def test_repeated_runs_bit_identical():

@@ -14,6 +14,15 @@ def test_worker_env_override(monkeypatch):
     monkeypatch.delenv("BRIDGENESS_WORKERS")
     assert default_workers() >= 1
 
+
+def test_default_workers_counts_usable_cores(monkeypatch):
+    monkeypatch.delenv("BRIDGENESS_WORKERS", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 16)
+    assert default_workers() == 3
+    monkeypatch.delattr("os.sched_getaffinity")
+    assert default_workers() == 16
+
 LFR_ARGS = ["--n", "150", "--communities", "4", "--mu", "0.15", "--seed", "9",
              "--min-degree", "6", "--max-degree", "20", "--mean-degree", "10"]
 

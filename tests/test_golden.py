@@ -1,0 +1,93 @@
+"""Golden regression digests of the engine accumulators and CLI outputs.
+
+The SHA-256 digests below were recorded from the per-source Brandes engine
+that the block engine replaced. They pin the ordered accumulators ``bc``,
+``l1`` and ``p`` bit for bit, and the ``centrality`` CSV bytes, so a change
+to the engine that reorders a floating-point sum fails here even when it
+stays within every tolerance of the oracle tests.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from bridgeness import Graph
+from bridgeness.centrality import _brandes_accumulate
+from bridgeness.cli import main
+
+from util import grid_graph, small_lfr_graph, star_graph
+
+GOLDEN = {
+    "grid30": (
+        "9d4cff5fba19589a7d0884ded598df41a91ce045742044c4401c7e689437fcf5",
+        "925c8e256dfd45c2b971559e6c9a7f24d474ac5a9a380414102c759f4bbfca5e",
+        "dc223263d7a82132e87904b6739e4fdd3a75c4599d1ef91033bb5e0de79e8274",
+    ),
+    "lfr300": (
+        "0833b55612233aa53ea4488cab65d1be2472f3b1864211d03e997eafd4c37bf1",
+        "3d3bc8bf427bc7f3a29fcf2a00e37586c8e28682335247fdda32232df76d3113",
+        "f21856597d832819b27a0d8b366b178a5d87903f6f45dba1ede22092319a24c6",
+    ),
+    "star50": (
+        "5b553b4a4051769bd8b25b60013e39f879e63d97c25f74f7277c372f110765b5",
+        "5b553b4a4051769bd8b25b60013e39f879e63d97c25f74f7277c372f110765b5",
+        "5b553b4a4051769bd8b25b60013e39f879e63d97c25f74f7277c372f110765b5",
+    ),
+    "disconnected": (
+        "75e99c2877a9fd508e97842c6c5cd13f30a213c0f49bd22d1430189142581fab",
+        "ccec0d368e6ca1c4e508a27d2bbdcb2550732b27583ebfd6f1da3f014e0732bf",
+        "e787d83e4cfbdcd281477066b4eead34ed80fb516f5ce7d113d79a216304a46a",
+    ),
+    "isolated": (
+        "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb",
+        "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb",
+        "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb",
+    ),
+    "empty": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+CLI_CSV = {
+    "exact": (
+        "node_id,degree,bc,bridgeness,local\n"
+        "a,3,4.5,0,4.5\nb,3,3,0,3\nc,2,0,0,0\nd,3,1.5,0,1.5\ne,2,1,0,1\nf,1,0,0,0\n"
+    ),
+    "si-compat": (
+        "node_id,degree,bc,bridgeness,local\n"
+        "a,3,4.5,1,3.5\nb,3,3,0.75,2.25\nc,2,0,0,0\nd,3,1.5,0,1.5\ne,2,1,0.25,0.75\nf,1,0,0,0\n"
+    ),
+}
+
+
+def golden_graph(name: str) -> Graph:
+    if name == "grid30":
+        return grid_graph(30, np.random.default_rng(0))
+    if name == "lfr300":
+        return small_lfr_graph()
+    if name == "star50":
+        return star_graph(50)
+    if name == "disconnected":  # a triangle, a 4-path and two isolated nodes
+        return Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
+    if name == "isolated":
+        return Graph.from_edges(5, [])
+    return Graph.from_edges(0, [])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_accumulators_match_golden_digests(name):
+    accumulators = _brandes_accumulate(golden_graph(name), workers=1)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in accumulators)
+    assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("variant", sorted(CLI_CSV))
+def test_centrality_csv_bytes(tmp_path, variant):
+    edges = tmp_path / "g.edges"
+    edges.write_text("a b\nb c\nc d\nd e\ne a\nb d\nf a\n")
+    out = tmp_path / "scores.csv"
+    assert main(["centrality", "--input", str(edges), "--output", str(out),
+                 "--variant", variant, "--workers", "1"]) == 0
+    assert out.read_bytes() == CLI_CSV[variant].encode()

@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 
-from bridgeness import Graph
+from bridgeness import Graph, LfrConfig, generate
 
 
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -24,6 +24,22 @@ def star_graph(k: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def grid_graph(side: int, rng: np.random.Generator) -> Graph:
+    """side x side grid with node labels permuted by ``rng``."""
+    n = side * side
+    label = rng.permutation(n)
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % side]
+    edges += [(v, v + side) for v in range(n - side)]
+    return Graph.from_edges(n, [(int(label[u]), int(label[v])) for u, v in edges])
+
+
+def small_lfr_graph() -> Graph:
+    """LFR-style graph with 300 nodes in 8 planted communities."""
+    config = LfrConfig(n=300, communities=8, mu=0.2, seed=3,
+                       min_degree=6, max_degree=20, mean_degree=10)
+    return generate(config).graph
 
 
 def all_pairs_counts(graph: Graph):
