@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .centrality import (
     CentralityResult,
     betweenness,
-    bridgeness_bruteforce,
     bridgeness_exact,
-    bridgeness_si_compat,
     locterm_by_degree,
 )
 from .community import LouvainConfig, LouvainRun, louvain, louvain_passes, modularity
@@ -32,8 +30,6 @@ from .graph import (
     NodeTable,
     Partition,
     PartitionError,
-    clustering_coefficient,
-    degree,
     load_edge_list,
     load_partition,
     write_edge_list,
@@ -66,13 +62,9 @@ __all__ = [
     "load_partition",
     "write_edge_list",
     "write_partition",
-    "degree",
-    "clustering_coefficient",
     "CentralityResult",
     "betweenness",
     "bridgeness_exact",
-    "bridgeness_bruteforce",
-    "bridgeness_si_compat",
     "locterm_by_degree",
     "CommunityLinkMatrix",
     "GlobalIndicatorResult",

@@ -3,8 +3,7 @@
 Betweenness of a node j sums, over unordered node pairs {i, k} (i != j != k),
 the fraction of shortest i-k paths passing through j. Bridgeness keeps only
 pairs where neither endpoint is j or one of j's neighbors; the local term is
-the remainder. Everything here is unweighted (BFS shortest paths), even when
-the graph stores weights.
+the remainder. Everything here is unweighted (BFS shortest paths).
 
 The engine is a level-synchronous Brandes sweep from every source. On top of the
 usual dependency accumulation it tracks two extra per-node accumulators that
@@ -18,9 +17,9 @@ make the decomposition exact in O(n*m)-style passes:
   double-counted by 2*l1.
 
 Ordered local term = 2*l1 - p; bridgeness = bc - local; the source-side
-filtered variant si = bc - l1. All public results use the unordered-pair
-convention (ordered sums halved once at the end), and all four come from
-one sweep.
+filtered variant si = bc - l1 (see :class:`CentralityResult`). All public
+results use the unordered-pair convention (ordered sums halved once at the
+end), and all four come from one sweep.
 
 Block engine. B sources are swept at once, as one BFS over B disjoint copies
 of the graph held in n x B arrays (column k belongs to the k-th source):
@@ -74,7 +73,14 @@ PAIR_CONVENTION = "unordered"
 
 @dataclass(frozen=True)
 class CentralityResult:
-    """Per-node bc = bridgeness + local, and ``si`` (see ``bridgeness_si_compat``)."""
+    """Per-node bc = bridgeness + local, and the source-side-filtered ``si``.
+
+    ``si`` counts the dependency of j on a source s only when d(s, j) > 1.
+    This filters neighbors out of the source side of each pair but not the
+    target side, so a pair with exactly one endpoint adjacent to j keeps
+    half its weight: ``si`` equals bridgeness plus half of that mixed-pair
+    term, and 0 <= bridgeness <= si <= bc.
+    """
 
     bc: np.ndarray
     bridgeness: np.ndarray
@@ -217,6 +223,8 @@ def _brandes_accumulate(graph: Graph, workers: int = 1):
     order, so the result does not depend on the worker count. The pool
     starts at most one process per chunk.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     n = graph.node_count
     bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     workers = min(workers, len(bounds))
@@ -259,79 +267,6 @@ def bridgeness_exact(graph: Graph, *, workers: int = 1) -> CentralityResult:
     """
     bc, bri, local, si = _decompose(*_brandes_accumulate(graph, workers))
     return CentralityResult(bc=bc, bridgeness=bri, local=local, si=si)
-
-
-def bridgeness_si_compat(graph: Graph, *, workers: int = 1) -> np.ndarray:
-    """Source-side-filtered bridgeness variant (``bridgeness_exact(...).si``).
-
-    Per source s, the dependency of j is counted only when d(s, j) > 1.
-    This filters neighbors out of the source side of each pair but not the
-    target side, so a pair with exactly one endpoint adjacent to j keeps
-    half its weight: the result equals exact bridgeness plus half of that
-    mixed-pair term, and upper-bounds exact bridgeness everywhere.
-    """
-    return bridgeness_exact(graph, workers=workers).si
-
-
-def _bfs_counts(adj: list[list[int]], n: int, source: int):
-    """Plain BFS path counting, kept independent of the sweep engine."""
-    dist = [-1] * n
-    sigma = [0.0] * n
-    dist[source] = 0
-    sigma[source] = 1.0
-    queue = [source]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        dv = dist[v]
-        sv = sigma[v]
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-            if dist[w] == dv + 1:
-                sigma[w] += sv
-    return dist, sigma
-
-
-def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
-    """Literal pair-enumeration oracle; intended for n up to a few hundred.
-
-    For every node j and every unordered pair {i, k}, j is on a shortest
-    i-k path iff d(i, j) + d(j, k) = d(i, k), in which case it carries
-    sigma_ij * sigma_jk / sigma_ik. The neighborhood filter is applied
-    literally for the bridgeness term, and to the source side only for si.
-    """
-    n = graph.node_count
-    adj = [[int(w) for w in graph.neighbors(v)] for v in range(n)]
-    dist = np.full((n, n), np.inf, dtype=np.float64)
-    sigma = np.zeros((n, n), dtype=np.float64)
-    for s in range(n):
-        d_s, sig_s = _bfs_counts(adj, n, s)
-        for t in range(n):
-            if d_s[t] >= 0:
-                dist[s, t] = d_s[t]
-                sigma[s, t] = sig_s[t]
-
-    bc = np.zeros(n, dtype=np.float64)
-    bri = np.zeros(n, dtype=np.float64)
-    si = np.zeros(n, dtype=np.float64)
-    sigma_safe = np.where(sigma > 0, sigma, 1.0)
-    for j in range(n):
-        through = (dist[:, j][:, None] + dist[j, :][None, :]) == dist
-        frac = np.where(through & (sigma > 0), sigma[:, j][:, None] * sigma[j, :][None, :], 0.0)
-        frac /= sigma_safe
-        frac[j, :] = 0.0
-        frac[:, j] = 0.0
-        np.fill_diagonal(frac, 0.0)
-        bc[j] = frac.sum() / 2.0
-        nbrs = adj[j]
-        frac[nbrs, :] = 0.0  # ordered pairs whose source is not adjacent to j
-        si[j] = frac.sum() / 2.0
-        frac[:, nbrs] = 0.0
-        bri[j] = frac.sum() / 2.0
-    return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri, si=si)
 
 
 def locterm_by_degree(result: CentralityResult, graph: Graph) -> dict[int, float]:
@@ -393,13 +328,16 @@ def write_centrality_json(
 
 
 def default_workers() -> int:
-    """Worker count from BRIDGENESS_WORKERS, else the cores this process may use."""
+    """Worker count from BRIDGENESS_WORKERS, else the cores this process may use.
+
+    An unset or empty BRIDGENESS_WORKERS means the core count; any other
+    value that is not a positive integer raises ValueError.
+    """
     env = os.environ.get("BRIDGENESS_WORKERS")
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+        if not (env.isdecimal() and int(env) > 0):
+            raise ValueError(f"BRIDGENESS_WORKERS must be a positive integer, got {env!r}")
+        return int(env)
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform

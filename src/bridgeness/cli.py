@@ -17,7 +17,6 @@ from pathlib import Path
 from . import __version__
 from .centrality import (
     CentralityResult,
-    bridgeness_bruteforce,
     bridgeness_exact,
     default_workers,
     locterm_by_degree,
@@ -45,8 +44,6 @@ from .graph import (
 )
 from .indicator import global_indicator, write_indicator_csv
 from .netgen import GenerationError, LfrConfig, generate
-
-BRUTEFORCE_WARN_NODES = 2000
 
 _DELIMITERS = {"whitespace": None, "comma": ","}
 
@@ -85,11 +82,7 @@ def _load_graph(args: argparse.Namespace):
     path = Path(args.input)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return load_edge_list(
-                fh,
-                delimiter=_DELIMITERS[args.delimiter],
-                has_weights=getattr(args, "weighted", False),
-            )
+            return load_edge_list(fh, delimiter=_DELIMITERS[args.delimiter])
     except OSError as exc:
         raise CliError(f"cannot read edge list: {exc}") from exc
     except EdgeListError as exc:
@@ -114,14 +107,6 @@ def _compute_variant(graph, variant: str, workers: int) -> CentralityResult:
         result = bridgeness_exact(graph, workers=workers)
         return CentralityResult(bc=result.bc, bridgeness=result.si,
                                 local=result.bc - result.si, si=result.si)
-    if variant == "bruteforce":
-        if graph.node_count > BRUTEFORCE_WARN_NODES:
-            print(
-                f"warning: brute-force variant on {graph.node_count} nodes is "
-                "quadratic in memory and very slow",
-                file=sys.stderr,
-            )
-        return bridgeness_bruteforce(graph)
     raise CliError(f"unknown variant {variant!r}")
 
 
@@ -301,6 +286,19 @@ def _add_graph_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delimiter", choices=sorted(_DELIMITERS), default="whitespace")
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _add_workers(parser: argparse.ArgumentParser) -> None:
+    # default None: resolved by main(), so a bad BRIDGENESS_WORKERS only
+    # fails the commands that sweep
+    parser.add_argument("--workers", type=_positive_int,
+                        help="sweep processes (default: BRIDGENESS_WORKERS, else usable cores)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgeness",
@@ -311,11 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("centrality", help="betweenness / bridgeness / local scores")
     _add_graph_input(p)
-    p.add_argument("--weighted", action="store_true", help="input lines carry a weight column")
     p.add_argument("--output", required=True, help="CSV output path")
     p.add_argument("--json", help="optional JSON records output path")
-    p.add_argument("--variant", choices=["exact", "si-compat", "bruteforce"], default="exact")
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--variant", choices=["exact", "si-compat"], default="exact")
+    _add_workers(p)
     p.set_defaults(func=cmd_centrality)
 
     p = sub.add_parser("indicator", help="community-based global bridging scores")
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detect", choices=["louvain"], help="detect the partition instead")
     p.add_argument("--seed", type=int, help="seed for --detect louvain")
     p.add_argument("--window", type=int, default=200)
-    p.add_argument("--workers", type=int, default=default_workers())
+    _add_workers(p)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -362,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort-by", default="bc",
                    choices=["node_id", "G", "community", "bc", "bridgeness", "degree"])
     p.add_argument("--ascending", action="store_true")
-    p.add_argument("--workers", type=int, default=default_workers())
+    _add_workers(p)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -372,6 +369,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "workers" in vars(args) and args.workers is None:
+            try:
+                args.workers = default_workers()
+            except ValueError as exc:
+                raise CliError(str(exc)) from exc
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,14 @@
 """Immutable undirected graphs, node-ID tables and community partitions.
 
-Graphs are simple (no self-loops, no duplicate edges) and use dense internal
-indices in ``[0, node_count)``. External string IDs live in a separate
-:class:`NodeTable` so algorithms work on plain integer arrays.
+Graphs are simple and unweighted (no self-loops, no duplicate edges, no
+edge weights) and use dense internal indices in ``[0, node_count)``.
+External string IDs live in a separate :class:`NodeTable` so algorithms
+work on plain integer arrays.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
 
@@ -32,28 +33,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph in CSR form.
+    """Simple undirected, unweighted graph in CSR form.
 
-    ``edges`` holds each undirected edge once as ``(u, v)`` with ``u < v``;
-    ``indptr``/``indices`` is the symmetric adjacency with sorted neighbor
-    lists. ``weights`` (aligned with ``edges``) are stored but ignored by the
-    default algorithms. Instances are immutable and safe to share across
-    worker processes.
+    ``edges`` holds each undirected edge once as ``(u, v)`` with ``u < v``,
+    sorted; ``indptr``/``indices`` is the symmetric adjacency with sorted
+    neighbor lists. Instances are immutable and safe to share across worker
+    processes.
     """
 
     node_count: int
     edges: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    weights: np.ndarray | None = None
 
     @classmethod
-    def from_edges(
-        cls,
-        node_count: int,
-        edges: Iterable[tuple[int, int]],
-        weights: Sequence[float] | None = None,
-    ) -> "Graph":
+    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from unique undirected edges.
 
         Raises ValueError on self-loops, duplicate edges (in either
@@ -70,41 +64,22 @@ class Graph:
             raise ValueError("self-loops are not allowed")
         lo = edge_arr.min(axis=1) if m else edge_arr[:, 0]
         hi = edge_arr.max(axis=1) if m else edge_arr[:, 1]
-        order = np.lexsort((hi, lo))
-        canon = np.column_stack((lo, hi))[order]
+        canon = np.column_stack((lo, hi))[np.lexsort((hi, lo))]
         if m > 1 and np.any(np.all(canon[1:] == canon[:-1], axis=1)):
             raise ValueError("duplicate edges are not allowed")
 
-        w = None
-        if weights is not None:
-            w_arr = np.asarray(weights, dtype=np.float64)
-            if w_arr.shape != (m,):
-                raise ValueError("weights must align with edges")
-            w = _frozen(w_arr[order])
-
-        # symmetric CSR with sorted neighbor lists
-        deg = np.zeros(node_count, dtype=np.int64)
-        if m:
-            np.add.at(deg, canon[:, 0], 1)
-            np.add.at(deg, canon[:, 1], 1)
+        # symmetric CSR: both orientations, sorted by (row, neighbor)
+        src = np.concatenate((lo, hi))
+        dst = np.concatenate((hi, lo))
+        indices = dst[np.lexsort((dst, src))]
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.zeros(2 * m, dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for u, v in canon:
-            indices[fill[u]] = v
-            fill[u] += 1
-            indices[fill[v]] = u
-            fill[v] += 1
-        for v in range(node_count):
-            indices[indptr[v] : indptr[v + 1]].sort()
+        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
 
         return cls(
             node_count=int(node_count),
             edges=_frozen(canon),
             indptr=_frozen(indptr),
             indices=_frozen(indices),
-            weights=w,
         )
 
     @property
@@ -120,11 +95,6 @@ class Graph:
         self._check_index(v)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        pos = np.searchsorted(nbrs, v)
-        return bool(pos < len(nbrs) and nbrs[pos] == v)
-
     def _check_index(self, v: int) -> None:
         if not 0 <= v < self.node_count:
             raise IndexError(f"node index {v} out of range [0, {self.node_count})")
@@ -135,7 +105,6 @@ class NodeTable:
     """Bijective mapping between external string IDs and internal indices."""
 
     ids: tuple[str, ...]
-    metadata: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         index = {node_id: i for i, node_id in enumerate(self.ids)}
@@ -205,20 +174,17 @@ def load_edge_list(
     stream: IO[str] | Iterable[str],
     *,
     delimiter: str | None = None,
-    has_weights: bool = False,
     skip_comments: bool = True,
 ) -> tuple[Graph, NodeTable]:
-    """Parse ``src dst [weight]`` lines into a simple undirected graph.
+    """Parse ``src dst`` lines into a simple undirected graph.
 
-    Duplicate edges (in either orientation) are collapsed keeping the first
-    weight; self-loops are dropped. Both are reported through a single
-    warning with counts. ``delimiter=None`` splits on whitespace.
+    Duplicate edges (in either orientation) are collapsed and self-loops
+    are dropped. Both are reported through a single warning with counts.
+    ``delimiter=None`` splits on whitespace.
     """
     ids: list[str] = []
     index: dict[str, int] = {}
-    edge_index: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int]] = []
-    weights: list[float] = []
+    edges: dict[tuple[int, int], None] = {}  # insertion-ordered set
     self_loops = 0
     duplicates = 0
 
@@ -235,31 +201,20 @@ def load_edge_list(
         if skip_comments and line.startswith("#"):
             continue
         tokens = _split_line(line, delimiter)
-        expected = 3 if has_weights else 2
-        if len(tokens) != expected:
+        if len(tokens) != 2:
             raise EdgeListError(
-                f"line {lineno}: expected {expected} fields, got {len(tokens)}: {line!r}"
+                f"line {lineno}: expected 2 fields, got {len(tokens)}: {line!r}"
             )
         u = intern(tokens[0])
         v = intern(tokens[1])
-        w = 1.0
-        if has_weights:
-            try:
-                w = float(tokens[2])
-            except ValueError:
-                raise EdgeListError(f"line {lineno}: bad weight {tokens[2]!r}") from None
-            if w <= 0:
-                raise EdgeListError(f"line {lineno}: weight must be positive, got {w}")
         if u == v:
             self_loops += 1
             continue
         key = (u, v) if u < v else (v, u)
-        if key in edge_index:
+        if key in edges:
             duplicates += 1
             continue
-        edge_index[key] = len(edges)
-        edges.append(key)
-        weights.append(w)
+        edges[key] = None
 
     if self_loops or duplicates:
         logger.warning(
@@ -268,28 +223,15 @@ def load_edge_list(
             duplicates,
         )
 
-    graph = Graph.from_edges(
-        len(ids), edges, weights=weights if has_weights else None
-    )
-    return graph, NodeTable(ids=tuple(ids))
+    return Graph.from_edges(len(ids), edges), NodeTable(ids=tuple(ids))
 
 
 def write_edge_list(
-    graph: Graph,
-    table: NodeTable,
-    stream: IO[str],
-    *,
-    delimiter: str = " ",
-    include_weights: bool = False,
+    graph: Graph, table: NodeTable, stream: IO[str], *, delimiter: str = " "
 ) -> None:
-    """Write one ``src dst [weight]`` line per edge, reloadable by ``load_edge_list``."""
-    weights = graph.weights
-    for i, (u, v) in enumerate(graph.edges):
-        row = f"{table.id_of(int(u))}{delimiter}{table.id_of(int(v))}"
-        if include_weights:
-            w = 1.0 if weights is None else float(weights[i])
-            row += f"{delimiter}{w:g}"
-        stream.write(row + "\n")
+    """Write one ``src dst`` line per edge, reloadable by ``load_edge_list``."""
+    for u, v in graph.edges:
+        stream.write(f"{table.id_of(int(u))}{delimiter}{table.id_of(int(v))}\n")
 
 
 def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partition:
@@ -330,25 +272,3 @@ def write_partition(partition: Partition, table: NodeTable, stream: IO[str]) -> 
     for i, label in enumerate(partition.labels):
         stream.write(f"{table.id_of(i)},{int(label)}\n")
 
-
-def degree(graph: Graph, v: int) -> int:
-    """Neighbor count of ``v``."""
-    graph._check_index(v)
-    return int(graph.degrees[v])
-
-
-def clustering_coefficient(graph: Graph, v: int) -> float:
-    """Fraction of realized links among the neighbors of ``v``; 0 when deg < 2."""
-    graph._check_index(v)
-    nbrs = graph.neighbors(v)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    nbr_set = set(int(x) for x in nbrs)
-    links = 0
-    for u in nbrs:
-        for w in graph.neighbors(int(u)):
-            if int(w) in nbr_set:
-                links += 1
-    links //= 2  # each neighbor-neighbor edge seen from both sides
-    return links / (k * (k - 1) / 2)

@@ -21,13 +21,6 @@ class CommunityLinkMatrix:
 
     counts: np.ndarray
 
-    @property
-    def community_count(self) -> int:
-        return int(self.counts.shape[0])
-
-    def links(self, a: int, b: int) -> int:
-        return int(self.counts[a, b])
-
 
 @dataclass(frozen=True)
 class GlobalIndicatorResult:

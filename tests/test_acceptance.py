@@ -13,9 +13,7 @@ from bridgeness import (
     LouvainConfig,
     betweenness,
     bridge_degree_bias,
-    bridgeness_bruteforce,
     bridgeness_exact,
-    bridgeness_si_compat,
     cumulative_ratio_curve,
     curve_advantage,
     generate,
@@ -26,7 +24,7 @@ from bridgeness import (
     modularity,
 )
 
-from util import best_label_agreement, er_graph, star_graph
+from util import best_label_agreement, bridgeness_bruteforce, er_graph, star_graph
 
 BENCH_SCALE = dict(n=1000, communities=30, mu=0.2)
 REFERENCE_EDGE_COUNT = 7539
@@ -92,7 +90,7 @@ def test_decomposition_and_ordering_invariants(random_graph_family):
     ]
     for graph in list(random_graph_family) + extras:
         result = bridgeness_exact(graph)
-        si = bridgeness_si_compat(graph)
+        si = result.si
         scale = np.maximum(np.abs(result.bc), 1.0)
         assert np.all(np.abs(result.bc - (result.bridgeness + result.local)) / scale < 1e-9)
         assert np.all(result.bridgeness >= 0.0)

@@ -8,15 +8,14 @@ import pytest
 from bridgeness import (
     Graph,
     betweenness,
-    bridgeness_bruteforce,
     bridgeness_exact,
-    bridgeness_si_compat,
     locterm_by_degree,
 )
 from bridgeness import centrality
 from bridgeness.centrality import write_centrality_csv, centrality_records
 
 from util import (
+    bridgeness_bruteforce,
     complete_graph,
     er_graph,
     grid_graph,
@@ -84,9 +83,9 @@ def test_bruteforce_trivials():
 
 
 def test_si_compat_star_and_path():
-    assert np.all(bridgeness_si_compat(star_graph(6)) == 0.0)
+    assert np.all(bridgeness_exact(star_graph(6)).si == 0.0)
     path = path_graph(5)
-    si = bridgeness_si_compat(path)
+    si = bridgeness_exact(path).si
     # faithful source-side filter: sources at distance > 1 only; verified
     # against the instrumented half-weight pair enumeration
     assert np.allclose(si, [0.0, 1.0, 2.0, 1.0, 0.0])
@@ -97,8 +96,8 @@ def test_si_compat_dominates_exact():
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = er_graph(int(rng.integers(5, 40)), rng.uniform(0.05, 0.5), rng)
-        si = bridgeness_si_compat(g)
         result = bridgeness_exact(g)
+        si = result.si
         assert np.all(si >= result.bridgeness)
         assert np.all(si <= result.bc)
         assert np.allclose(si, si_compat_oracle(g), atol=1e-9)
@@ -128,7 +127,7 @@ def test_decomposition_and_ordering_invariants():
     graphs += [er_graph(int(rng.integers(5, 50)), rng.uniform(0.02, 0.4), rng) for _ in range(15)]
     for g in graphs:
         result = bridgeness_exact(g)
-        si = bridgeness_si_compat(g)
+        si = result.si
         scale = np.maximum(np.abs(result.bc), 1.0)
         assert np.all(np.abs(result.bc - (result.bridgeness + result.local)) / scale < 1e-9)
         assert np.all(result.bridgeness >= 0.0)
@@ -145,7 +144,8 @@ def test_worker_count_does_not_change_results():
         parallel = bridgeness_exact(g, workers=workers)
         for field in ("bc", "bridgeness", "local", "si"):
             assert np.array_equal(getattr(serial, field), getattr(parallel, field))
-    assert np.array_equal(bridgeness_si_compat(g), serial.si)
+    with pytest.raises(ValueError, match="workers"):
+        bridgeness_exact(g, workers=0)
 
 
 def test_pool_starts_at_most_one_process_per_chunk(monkeypatch):

@@ -2,17 +2,64 @@ import json
 
 import pytest
 
+import bridgeness
 from bridgeness.centrality import default_workers
 from bridgeness.cli import main
+
+from util import bridgeness_bruteforce
 
 
 def test_worker_env_override(monkeypatch):
     monkeypatch.setenv("BRIDGENESS_WORKERS", "3")
     assert default_workers() == 3
-    monkeypatch.setenv("BRIDGENESS_WORKERS", "not-a-number")
-    assert default_workers() >= 1
+    for bad in ("not-a-number", "1.5", "0", "-2"):
+        monkeypatch.setenv("BRIDGENESS_WORKERS", bad)
+        with pytest.raises(ValueError, match="BRIDGENESS_WORKERS"):
+            default_workers()
     monkeypatch.delenv("BRIDGENESS_WORKERS")
     assert default_workers() >= 1
+
+
+def test_bad_worker_env_fails_only_sweeping_commands(tmp_path, monkeypatch, capsys):
+    edges = tmp_path / "g.edges"
+    part = tmp_path / "p.csv"
+    write_small_graph(edges)
+    write_small_partition(part)
+    monkeypatch.setenv("BRIDGENESS_WORKERS", "abc")
+    code = main(["centrality", "--input", str(edges), "--output", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert "error: BRIDGENESS_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+    # an explicit flag does not read the variable
+    assert main(["centrality", "--input", str(edges), "--output", str(tmp_path / "s.csv"),
+                 "--workers", "1"]) == 0
+    # commands that never sweep ignore it
+    assert main(["indicator", "--input", str(edges), "--partition", str(part),
+                 "--output", str(tmp_path / "g.csv")]) == 0
+    assert main(["communities", "--input", str(edges), "--seed", "1",
+                 "--output", str(tmp_path / "louvain.csv")]) == 0
+    assert main(["generate", *LFR_ARGS, "--output-prefix", str(tmp_path / "net")]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_bad_workers_flag_exits_2(tmp_path, capsys, value):
+    edges = tmp_path / "g.edges"
+    write_small_graph(edges)
+    with pytest.raises(SystemExit) as err:
+        main(["centrality", "--input", str(edges), "--output", str(tmp_path / "s.csv"),
+              "--workers", value])
+    assert err.value.code == 2
+    assert "argument --workers" in capsys.readouterr().err
+
+
+def test_default_workers_recorded_in_provenance(tmp_path, monkeypatch):
+    edges = tmp_path / "g.edges"
+    write_small_graph(edges)
+    monkeypatch.setenv("BRIDGENESS_WORKERS", "2")
+    out = tmp_path / "s.csv"
+    assert main(["centrality", "--input", str(edges), "--output", str(out)]) == 0
+    prov = json.loads((tmp_path / "s.csv.provenance.json").read_text())
+    assert prov["config"]["workers"] == 2
 
 
 def test_default_workers_counts_usable_cores(monkeypatch):
@@ -59,14 +106,32 @@ def test_centrality_variants_agree_on_bc(tmp_path):
     edges = tmp_path / "g.edges"
     write_small_graph(edges)
     outputs = {}
-    for variant in ("exact", "si-compat", "bruteforce"):
+    for variant in ("exact", "si-compat"):
         out = tmp_path / f"{variant}.csv"
         assert main(["centrality", "--input", str(edges), "--output", str(out),
                      "--variant", variant, "--workers", "1"]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         outputs[variant] = {r[0]: float(r[2]) for r in rows}
-    assert outputs["exact"] == pytest.approx(outputs["bruteforce"])
+    with open(edges, encoding="utf-8") as fh:
+        graph, table = bridgeness.load_edge_list(fh)
+    oracle = bridgeness_bruteforce(graph).bc
+    assert outputs["exact"] == pytest.approx(
+        {table.id_of(v): oracle[v] for v in range(graph.node_count)})
     assert outputs["exact"] == pytest.approx(outputs["si-compat"])
+
+
+def test_bruteforce_variant_is_gone(tmp_path):
+    edges = tmp_path / "g.edges"
+    write_small_graph(edges)
+    with pytest.raises(SystemExit) as err:
+        main(["centrality", "--input", str(edges), "--output", str(tmp_path / "s.csv"),
+              "--variant", "bruteforce"])
+    assert err.value.code == 2
+
+
+def test_public_names_resolve():
+    for name in bridgeness.__all__:
+        assert hasattr(bridgeness, name), name
 
 
 def test_centrality_json_records(tmp_path):

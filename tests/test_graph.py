@@ -9,8 +9,6 @@ from bridgeness import (
     NodeTable,
     Partition,
     PartitionError,
-    clustering_coefficient,
-    degree,
     load_edge_list,
     load_partition,
     write_edge_list,
@@ -43,22 +41,11 @@ def test_load_comments_blank_lines_and_comma_delimiter():
     assert graph.edge_count == 2
 
 
-def test_load_weights_kept_first_on_duplicate():
-    graph, _ = load("a b 2.5\nb a 9.0\nb c 1.0\n", has_weights=True)
-    assert graph.edge_count == 2
-    weights = {tuple(e): w for e, w in zip(map(tuple, graph.edges), graph.weights)}
-    assert weights[(0, 1)] == 2.5
-
-
 def test_load_errors_carry_line_numbers():
     with pytest.raises(EdgeListError, match="line 2"):
         load("a b\nc\n")
-    with pytest.raises(EdgeListError, match="line 1.*positive"):
-        load("a b -1\n", has_weights=True)
-    with pytest.raises(EdgeListError, match="line 1"):
-        load("a b x\n", has_weights=True)
-    with pytest.raises(EdgeListError, match="expected 2 fields"):
-        load("a b 1.0\n")  # weight column without has_weights
+    with pytest.raises(EdgeListError, match="line 1: expected 2 fields"):
+        load("a b 1.0\n")  # weight columns are not accepted
 
 
 def test_from_edges_validates():
@@ -70,32 +57,37 @@ def test_from_edges_validates():
         Graph.from_edges(2, [(0, 5)])
 
 
+def test_csr_layout_matches_sorted_adjacency():
+    rng = np.random.default_rng(29)
+    cases = [(0, []), (1, [])]
+    for _ in range(30):
+        n = int(rng.integers(2, 60))
+        p = rng.uniform(0.02, 0.3)
+        # the last three nodes stay isolated, besides any the draw leaves
+        cases.append((n, [(i, j) for i in range(n - 3) for j in range(i + 1, n - 3)
+                          if rng.random() < p]))
+    for n, edges in cases:
+        fed = [edges[k] if rng.random() < 0.5 else edges[k][::-1]
+               for k in rng.permutation(len(edges))]
+        graph = Graph.from_edges(n, fed)
+        rows = [[] for _ in range(n)]
+        for u, v in edges:
+            rows[u].append(v)
+            rows[v].append(u)
+        indptr, indices = [0], []
+        for row in rows:
+            indices += sorted(row)
+            indptr.append(len(indices))
+        assert graph.indptr.dtype == graph.indices.dtype == np.int64
+        assert graph.indptr.tolist() == indptr
+        assert graph.indices.tolist() == indices
+        assert graph.edges.tolist() == sorted(map(list, edges))
+
+
 def test_graph_arrays_are_read_only():
     graph, _ = load("a b\n")
     with pytest.raises(ValueError):
         graph.edges[0, 0] = 7
-
-
-def test_degree_examples():
-    star = star_graph(5)
-    assert degree(star, 0) == 5
-    assert degree(star, 1) == 1
-    lone = Graph.from_edges(3, [(0, 1)])
-    assert degree(lone, 2) == 0
-    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert degree(triangle, 1) == 2
-    with pytest.raises(IndexError):
-        degree(star, 6)
-
-
-def test_clustering_examples():
-    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert clustering_coefficient(triangle, 0) == 1.0
-    assert clustering_coefficient(star_graph(6), 0) == 0.0
-    assert clustering_coefficient(star_graph(6), 1) == 0.0  # deg < 2
-    # node 0 with 4 neighbors, 2 links among them
-    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
-    assert clustering_coefficient(g, 0) == pytest.approx(2 / 6)
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -116,15 +108,6 @@ def test_edge_list_round_trip():
     reloaded = {tuple(sorted((table2.id_of(int(u)), table2.id_of(int(v))))) for u, v in g2.edges}
     assert original == reloaded
     assert g2.edge_count == g.edge_count
-
-
-def test_weighted_round_trip():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)], weights=[0.5, 2.0])
-    table = NodeTable.identity(3)
-    buf = io.StringIO()
-    write_edge_list(g, table, buf, include_weights=True)
-    g2, _ = load(buf.getvalue(), has_weights=True)
-    assert np.allclose(sorted(g2.weights), [0.5, 2.0])
 
 
 def test_partition_single_community():

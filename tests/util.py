@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 
-from bridgeness import Graph, LfrConfig, generate
+from bridgeness import CentralityResult, Graph, LfrConfig, generate
 
 
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -67,6 +67,36 @@ def all_pairs_counts(graph: Graph):
                 dist[s, t] = d[t]
                 sigma[s, t] = sig[t]
     return dist, sigma
+
+
+def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
+    """Literal pair-enumeration oracle; intended for n up to a few hundred.
+
+    For every node j and every unordered pair {i, k}, j is on a shortest
+    i-k path iff d(i, j) + d(j, k) = d(i, k), in which case it carries
+    sigma_ij * sigma_jk / sigma_ik. The neighborhood filter is applied
+    literally for the bridgeness term, and to the source side only for si.
+    """
+    n = graph.node_count
+    dist, sigma = all_pairs_counts(graph)
+    bc = np.zeros(n)
+    bri = np.zeros(n)
+    si = np.zeros(n)
+    sigma_safe = np.where(sigma > 0, sigma, 1.0)
+    for j in range(n):
+        through = (dist[:, j][:, None] + dist[j, :][None, :]) == dist
+        frac = np.where(through & (sigma > 0), sigma[:, j][:, None] * sigma[j, :][None, :], 0.0)
+        frac /= sigma_safe
+        frac[j, :] = 0.0
+        frac[:, j] = 0.0
+        np.fill_diagonal(frac, 0.0)
+        bc[j] = frac.sum() / 2.0
+        nbrs = graph.neighbors(j)
+        frac[nbrs, :] = 0.0  # ordered pairs whose source is not adjacent to j
+        si[j] = frac.sum() / 2.0
+        frac[:, nbrs] = 0.0
+        bri[j] = frac.sum() / 2.0
+    return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri, si=si)
 
 
 def si_compat_oracle(graph: Graph) -> np.ndarray:
