@@ -192,6 +192,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         [],
         extra={
             "achieved_mu": net.achieved_mu,
+            "dropped_stubs": net.dropped_stubs,
             "edge_count": net.graph.edge_count,
             "rewired_node_count": len(net.rewired_nodes),
         },

@@ -16,6 +16,12 @@ those that still have an intra-community link, then one of its internal
 links uniformly, and moves the far endpoint outside the community; the
 chosen node keeps its degree and the selection is degree-blind.
 ``selection="link"`` keeps the biased variant available for comparison.
+
+The degree-proportional target draw (``target="stub"``) descends a Fenwick
+tree of the degrees (Fenwick 1994) in O(log n) and returns exactly the node
+``rng.choice(n, p=degrees / degrees.sum())`` would from the same draw: a
+draw too close to a bucket edge for numpy's float CDF to be sure of it is
+answered by numpy's own computation instead.
 """
 from __future__ import annotations
 
@@ -35,6 +41,7 @@ class GenerationError(RuntimeError):
 
 
 _ASSORT_NOISE = 0.35  # spread of the degree key used for assortative pairing
+_EXACT_UNIT = 1 << 53  # draws and the guard margin are counted in units of 2**-53
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,10 @@ class LfrConfig:
             raise ValueError("target must be 'stub' or 'node'")
         if self.wiring not in ("assortative", "random"):
             raise ValueError("wiring must be 'assortative' or 'random'")
+        if self.max_target_retries < 1:
+            raise ValueError("max_target_retries must be >= 1")
+        if self.max_rewire_attempts < 1:
+            raise ValueError("max_rewire_attempts must be >= 1")
         sizes = self.community_sizes
         if sizes is not None:
             if len(sizes) != self.communities or sum(sizes) != self.n:
@@ -136,6 +147,7 @@ class GeneratedNetwork:
     ground_truth: Partition
     achieved_mu: float
     rewired_nodes: frozenset[int]
+    dropped_stubs: int
 
 
 @dataclass(frozen=True)
@@ -161,6 +173,74 @@ def _sample_degrees(config: LfrConfig, rng: np.random.Generator) -> np.ndarray:
     return np.maximum(np.rint(raw).astype(np.int64), 1)
 
 
+def _weighted_index(weights: np.ndarray, u: float) -> int:
+    """What ``rng.choice(len(weights), p=weights / weights.sum())`` returns when
+    its ``rng.random()`` draw is ``u``: numpy's own arithmetic, without its
+    validation of ``p``."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+class _StubSampler:
+    """Degree-proportional node draws in O(log n), equal to ``rng.choice``.
+
+    ``tree`` is a 1-based Fenwick tree over the integer ``degrees``, so a
+    prefix sum and a point update each cost O(log n).
+    """
+
+    def __init__(self, degrees: list[int]) -> None:
+        self.n = n = len(degrees)
+        self.degrees = list(degrees)
+        self.tree = [0, *degrees]
+        for i in range(1, n + 1):
+            parent = i + (i & -i)
+            if parent <= n:
+                self.tree[parent] += self.tree[i]
+        self.total = sum(degrees)  # a move keeps it
+        self.top = 1 << (n.bit_length() - 1) if n else 0
+        # numpy's cdf[i] is within about (2n+3) * 2**-53 of the exact prefix
+        # ratio P_{i+1}/S: each quotient d_j/S rounds once, the sequential
+        # cumsum adds up to n roundings of partial sums <= 1 + O(n 2**-53),
+        # dividing by cdf[-1] (itself that close to 1) doubles that, and the
+        # division rounds once more. A margin of 16(n+2) units covers it
+        # eightfold; slack is that margin scaled by S.
+        self.slack = 16 * (n + 2) * self.total
+        self.fallbacks = 0
+
+    def move(self, u: int, w: int) -> None:
+        """Move one stub from ``u`` to ``w``."""
+        self.degrees[u] -= 1
+        self.degrees[w] += 1
+        for i, delta in ((u + 1, -1), (w + 1, 1)):
+            while i <= self.n:
+                self.tree[i] += delta
+                i += i & -i
+
+    def draw(self, rng: np.random.Generator) -> int:
+        u = rng.random()
+        n, tree, total = self.n, self.tree, self.total
+        x = u * total
+        pos = below = 0  # descend to the largest pos with P_pos = below <= x
+        step = self.top
+        while step:
+            nxt = pos + step
+            if nxt <= n and below + tree[nxt] <= x:
+                pos, below = nxt, below + tree[nxt]
+            step >>= 1
+        # Keep pos only if P_pos/S + margin <= u < P_{pos+1}/S - margin, in
+        # exact integers: then numpy's cdf puts u in bucket pos as well. The
+        # test does not trust x, so a rounded descent can only cost a fallback.
+        if pos < n:
+            num, den = u.as_integer_ratio()
+            above = below + self.degrees[pos]
+            if ((below * _EXACT_UNIT + self.slack) * den <= num * total * _EXACT_UNIT
+                    < (above * _EXACT_UNIT - self.slack) * den):
+                return pos
+        self.fallbacks += 1
+        return _weighted_index(np.array(self.degrees, dtype=np.float64), u)
+
+
 def _assign_communities(
     degrees: np.ndarray, sizes: tuple[int, ...], rng: np.random.Generator
 ) -> np.ndarray:
@@ -173,7 +253,6 @@ def _assign_communities(
     in the rare fallback where no feasible community has room left.
     """
     n = len(degrees)
-    communities = len(sizes)
     free = np.asarray(sizes, dtype=np.int64).copy()
     size_arr = np.asarray(sizes, dtype=np.int64)
     labels = np.full(n, -1, dtype=np.int64)
@@ -188,19 +267,20 @@ def _assign_communities(
             degrees[v] = size_arr[c] - 1
         else:
             weights = np.where(feasible, free, 0).astype(np.float64)
-            c = int(rng.choice(communities, p=weights / weights.sum()))
+            c = _weighted_index(weights, rng.random())
         labels[v] = c
         free[c] -= 1
     return labels
 
 
-def _pair_stubs(members, degrees, adjacency, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _pair_stubs(members, degrees, adjacency, rng: np.random.Generator) -> tuple[list, int]:
     """Configuration-model pairing within one community.
 
     Colliding pairs (self-loops, repeats) are thrown back and re-shuffled.
     Stubs stuck in the dense endgame are placed by degree-preserving edge
     swaps against already-placed edges; anything still unplaceable after
-    bounded attempts is dropped, trimming a few degrees at most.
+    bounded attempts is dropped, trimming a few degrees at most. Returns the
+    edges and the number of dropped stubs.
     """
     stubs = np.repeat(members, degrees[members])
     edges: list[tuple[int, int]] = []
@@ -230,7 +310,7 @@ def _pair_stubs(members, degrees, adjacency, rng: np.random.Generator) -> list[t
     if dropped:
         logger.warning("dropped %d unplaceable stub(s) in a community of size %d",
                        dropped, len(members))
-    return edges
+    return edges, dropped
 
 
 def _swap_repair(stubs, edges, adjacency, rng: np.random.Generator) -> int:
@@ -280,18 +360,18 @@ def _swap_repair(stubs, edges, adjacency, rng: np.random.Generator) -> int:
 
 def _pair_stubs_assortative(
     members, degrees, adjacency, rng: np.random.Generator
-) -> list[tuple[int, int]]:
+) -> tuple[list, int]:
     """Degree-assortative wiring of one community.
 
     Stubs are ordered by their owner's degree perturbed with multiplicative
     noise, then paired consecutively, so hubs interconnect into a dense core
     and low-degree nodes attach to the periphery. Collisions fall through to
     the rejection/swap machinery, keeping the graph simple and the degree
-    sequence intact.
+    sequence intact. Returns the edges and the number of dropped stubs.
     """
     stubs = np.repeat(members, degrees[members])
     if stubs.size == 0:
-        return []
+        return [], 0
     key = degrees[stubs] * (1.0 + _ASSORT_NOISE * rng.standard_normal(stubs.size))
     stubs = stubs[np.lexsort((stubs, -key))]
     edges: list[tuple[int, int]] = []
@@ -312,7 +392,7 @@ def _pair_stubs_assortative(
     if dropped:
         logger.warning("dropped %d unplaceable stub(s) in a community of size %d",
                        dropped, len(members))
-    return edges
+    return edges, dropped
 
 
 @dataclass
@@ -369,12 +449,13 @@ def _rewire_to_mu(
     still own an intra link (degree-unbiased); ``"link"`` picks an intra
     link uniformly and keeps a random endpoint (degree-biased, the classic
     construction). The freed far end reattaches to a random external stub
-    (``target="stub"``, degree-proportional) or to a uniformly random
-    external node (``target="node"``). Returns the set of kept endpoints.
+    (``target="stub"``, degree-proportional, see ``_StubSampler``) or to a
+    uniformly random external node (``target="node"``). Returns the set of
+    kept endpoints.
     """
     n = len(state.adjacency)
     labels = state.labels
-    degrees = np.array([len(a) for a in state.adjacency], dtype=np.float64)
+    stubs = _StubSampler([len(a) for a in state.adjacency])
     rewired: set[int] = set()
     attempts = 0
     while state.mu() < target_mu:
@@ -398,16 +479,12 @@ def _rewire_to_mu(
 
         placed = False
         for _ in range(max_target_retries):
-            if target == "stub":
-                w = int(rng.choice(n, p=degrees / degrees.sum()))
-            else:
-                w = int(rng.integers(n))
+            w = stubs.draw(rng) if target == "stub" else int(rng.integers(n))
             if labels[w] == labels[v] or w in state.adjacency[v]:
                 continue
             state.drop_intra(v, u)
             state.add_inter(v, w)
-            degrees[u] -= 1.0
-            degrees[w] += 1.0
+            stubs.move(u, w)
             rewired.add(v)
             placed = True
             break
@@ -426,6 +503,7 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
     wire = _pair_stubs_assortative if config.wiring == "assortative" else _pair_stubs
     adjacency: list[set[int]] = [set() for _ in range(config.n)]
     intra_edges: list[tuple[int, int]] = []
+    dropped_stubs = 0
     for c, size in enumerate(sizes):
         members = np.flatnonzero(labels == c)
         if degrees[members].sum() % 2 == 1:
@@ -435,9 +513,9 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
                 degrees[bump] += 1
             else:
                 degrees[members[np.argmax(degrees[members])]] -= 1
-        intra_edges.extend(
-            tuple(sorted(e)) for e in wire(members, degrees, adjacency, rng)
-        )
+        wired, dropped = wire(members, degrees, adjacency, rng)
+        intra_edges.extend(tuple(sorted(e)) for e in wired)
+        dropped_stubs += dropped
 
     state = _WiringState(
         labels=labels,
@@ -473,6 +551,7 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
         ground_truth=partition,
         achieved_mu=achieved,
         rewired_nodes=rewired,
+        dropped_stubs=dropped_stubs,
     )
 
 

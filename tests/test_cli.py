@@ -173,6 +173,7 @@ def test_generate_writes_files_and_is_reproducible(tmp_path, capsys):
     meta = json.loads(prov)
     assert meta["achieved_mu"] >= 0.15
     assert meta["config"]["seed"] == 9
+    assert meta["dropped_stubs"] == 0
     out = capsys.readouterr().out
     assert "achieved_mu" in out
     # byte-identical rerun

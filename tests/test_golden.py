@@ -1,17 +1,23 @@
-"""Golden regression digests of the engine accumulators and CLI outputs.
+"""Golden regression digests of the engine accumulators, generator and CLI outputs.
 
 The SHA-256 digests below were recorded from the per-source Brandes engine
 that the block engine replaced. They pin the ordered accumulators ``bc``,
 ``l1`` and ``p`` bit for bit, and the ``centrality`` CSV bytes, so a change
 to the engine that reorders a floating-point sum fails here even when it
 stays within every tolerance of the oracle tests.
+
+The generator digests were recorded from the rewiring phase that drew each
+degree-proportional target with ``rng.choice(n, p=degrees / degrees.sum())``.
+They pin the edges, labels, rewired set and ``achieved_mu`` of ``generate``
+for every ``wiring``/``target``/``selection`` combination, so a faster
+sampler must consume the same random stream and pick the same nodes.
 """
 import hashlib
 
 import numpy as np
 import pytest
 
-from bridgeness import Graph
+from bridgeness import Graph, LfrConfig, generate
 from bridgeness.centrality import _brandes_accumulate
 from bridgeness.cli import main
 
@@ -50,6 +56,21 @@ GOLDEN = {
     ),
 }
 
+SMALL_LFR = dict(n=150, communities=4, mu=0.15, min_community_size=22, min_degree=6,
+                 max_degree=20, mean_degree=10.0)
+
+GENERATOR = {
+    ("assortative", "stub", "node"): "36db4b686e4f2440b0105c72df226f352f0912aa4c1ec43b60a7830c4d269cfe",
+    ("assortative", "stub", "link"): "d812a3be4bc9c66e10f7b76759c409985f0ec4e6765b0492911a1d795e0d8717",
+    ("assortative", "node", "node"): "2cb5b0d0ee56c0c657c534248c095972812e1c9513a623865cd149d63da3f5bb",
+    ("assortative", "node", "link"): "64c6a396765359f007127966a025471b103de0c16ea53550f32d00316e7aa714",
+    ("random", "stub", "node"): "9fbcf8f86156472478776fa7d57f8f99a6ac5148337d7ef3c9a8b0e232b268bf",
+    ("random", "stub", "link"): "143f6a52b6aa9bcf4e734a8814172bc0eeb8b88f74e5acfd9fe73cb8b1612743",
+    ("random", "node", "node"): "12adcda5fb540244a1c140d5bd9356fc03f3740ab96a4d4f8683db28c58e7c83",
+    ("random", "node", "link"): "f64296a20f9fce38e06be211d3b22d7ed8ff31bd8f1e41199ae36d95bd946010",
+}
+GENERATOR_DEFAULT_1000 = "81b206beaf8d0585657b76567f2609555a88811ead65a4bcff95474e6736a606"
+
 CLI_CSV = {
     "exact": (
         "node_id,degree,bc,bridgeness,local\n"
@@ -81,6 +102,26 @@ def test_accumulators_match_golden_digests(name):
     accumulators = _brandes_accumulate(golden_graph(name), workers=1)
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in accumulators)
     assert digests == GOLDEN[name]
+
+
+def network_digest(net) -> str:
+    digest = hashlib.sha256()
+    digest.update(net.graph.edges.tobytes())
+    digest.update(net.ground_truth.labels.tobytes())
+    digest.update(np.array(sorted(net.rewired_nodes), dtype=np.int64).tobytes())
+    digest.update(repr(net.achieved_mu).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("wiring,target,selection", sorted(GENERATOR))
+def test_generator_matches_golden_digests(wiring, target, selection):
+    config = LfrConfig(seed=7, wiring=wiring, target=target, selection=selection, **SMALL_LFR)
+    assert network_digest(generate(config)) == GENERATOR[wiring, target, selection]
+
+
+def test_default_generator_matches_golden_digest():
+    config = LfrConfig(n=1000, communities=30, mu=0.2, seed=7)
+    assert network_digest(generate(config)) == GENERATOR_DEFAULT_1000
 
 
 @pytest.mark.parametrize("variant", sorted(CLI_CSV))

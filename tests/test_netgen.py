@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgeness import (
     GenerationError,
@@ -8,7 +12,7 @@ from bridgeness import (
     generate,
     inter_community_fraction,
 )
-from bridgeness.netgen import _rewire_to_mu, _WiringState
+from bridgeness.netgen import _rewire_to_mu, _StubSampler, _weighted_index, _WiringState
 
 SMALL = dict(n=150, communities=4, mu=0.15, min_community_size=22, min_degree=6,
              max_degree=20, mean_degree=10.0)
@@ -92,6 +96,11 @@ def test_infeasible_configs_raise():
         LfrConfig(n=10, communities=2, mu=0.1, seed=1, selection="edge")
     with pytest.raises(ValueError):
         LfrConfig(n=10, communities=2, mu=0.1, seed=1, min_degree=0)
+    for bad in (0, -1):  # a bound below 1 can never place a rewire
+        with pytest.raises(ValueError, match="max_target_retries"):
+            LfrConfig(seed=1, max_target_retries=bad, **SMALL)
+        with pytest.raises(ValueError, match="max_rewire_attempts"):
+            LfrConfig(seed=1, max_rewire_attempts=bad, **SMALL)
 
 
 def test_rewire_unreachable_target_errors():
@@ -150,3 +159,84 @@ def test_wiring_and_target_variants_run():
             net = generate(cfg)
             assert net.achieved_mu >= 0.15
             assert int(net.graph.degrees.sum()) == 2 * net.graph.edge_count
+
+
+def test_dropped_stubs_returned_and_logged(caplog):
+    # the lfr-10k-prep parameters; this seed drops stubs in several communities
+    with caplog.at_level(logging.WARNING, logger="bridgeness.netgen"):
+        net = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=1))
+    logged = [r.args[0] for r in caplog.records if r.msg.startswith("dropped %d")]
+    assert net.dropped_stubs > 0
+    assert net.dropped_stubs == sum(logged)
+    assert int(net.graph.degrees.sum()) == 2 * net.graph.edge_count
+
+
+degree_vectors = st.lists(st.integers(0, 60), min_size=1, max_size=300).filter(any)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(degrees=degree_vectors, seed=st.integers(0, 2**32 - 1))
+def test_stub_sampler_equals_rng_choice_over_a_walk(degrees, seed):
+    sampler = _StubSampler(degrees)
+    current = np.array(degrees, dtype=np.float64)
+    fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    walk = np.random.default_rng(seed + 1)
+    drained = 0
+    for step in range(2000):
+        assert sampler.draw(fast) == int(reference.choice(len(current), p=current / current.sum()))
+        positive = np.flatnonzero(current)
+        # every other move drains the smallest positive degree, so nodes reach 0
+        u = int(positive[np.argmin(current[positive])] if step % 2 else walk.choice(positive))
+        w = int(walk.integers(len(current)))
+        sampler.move(u, w)
+        current[u] -= 1.0
+        current[w] += 1.0
+        drained += u != w and current[u] == 0.0
+    assert sampler.degrees == current.astype(int).tolist()
+    assert len(current) == 1 or drained > 0
+
+
+class FixedDraws:
+    """Stands in for a Generator whose ``random()`` returns the given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self) -> float:
+        return next(self.values)
+
+
+LARGE_DEGREES = np.random.default_rng(0).integers(0, 60, 3000).tolist()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(degrees=degree_vectors)
+@example(degrees=LARGE_DEGREES)  # numpy's cdf strays ~10 units of 2**-53 here
+def test_stub_sampler_falls_back_to_numpy_at_bucket_edges(degrees):
+    d = np.array(degrees, dtype=np.float64)
+    cdf = (d / d.sum()).cumsum()
+    cdf /= cdf[-1]
+    picked = np.random.default_rng(1).permutation(len(d))[:100]
+    exact = np.cumsum(d)[picked] / d.sum()
+    # both forms of each edge, their float neighbours, and draws a few
+    # units of 2**-53 either side of the exact edge
+    draws = np.concatenate((
+        cdf[picked], np.nextafter(cdf[picked], 0.0), np.nextafter(cdf[picked], 1.0),
+        (exact[:, None] + np.arange(-16, 17) * 2.0**-53).ravel(),
+    ))
+    draws = draws[(draws >= 0.0) & (draws < 1.0)]
+    sampler = _StubSampler(degrees)
+    stub_rng = FixedDraws(draws.tolist())
+    got = [sampler.draw(stub_rng) for _ in draws]
+    assert got == cdf.searchsorted(draws, side="right").tolist()
+    assert sampler.fallbacks > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(weights=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=100).filter(any),
+       seed=st.integers(0, 2**32 - 1))
+def test_weighted_index_equals_rng_choice(weights, seed):
+    w = np.array(weights)
+    fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        assert _weighted_index(w, fast.random()) == int(reference.choice(len(w), p=w / w.sum()))
