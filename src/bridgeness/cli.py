@@ -36,6 +36,7 @@ from .evaluation import (
 from .graph import (
     EdgeListError,
     NodeTable,
+    Partition,
     PartitionError,
     load_edge_list,
     load_partition,
@@ -143,13 +144,17 @@ def cmd_indicator(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_communities(args: argparse.Namespace) -> int:
-    graph, table = _load_graph(args)
-    config = LouvainConfig(seed=args.seed, max_passes=args.max_passes, min_gain=args.min_gain)
+def _detect_communities(graph, **config) -> Partition:
     try:
-        partition = louvain(graph, config)
+        return louvain(graph, LouvainConfig(**config))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def cmd_communities(args: argparse.Namespace) -> int:
+    graph, table = _load_graph(args)
+    partition = _detect_communities(graph, seed=args.seed, max_passes=args.max_passes,
+                                    min_gain=args.min_gain)
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         write_partition(partition, table, fh)
@@ -218,22 +223,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise CliError(f"unknown detection method {args.detect!r}")
         if args.seed is None:
             raise CliError("--detect louvain requires --seed")
-        partition = louvain(graph, LouvainConfig(seed=args.seed))
+        partition = _detect_communities(graph, seed=args.seed)
 
     result = bridgeness_exact(graph, workers=args.workers)
     indicator_result = global_indicator(graph, partition)
     g = indicator_result.g
+    try:
+        curves = {
+            "g": cumulative_ratio_curve(g, g, name="g"),
+            "bc": cumulative_ratio_curve(g, result.bc, name="bc"),
+            "bridgeness": cumulative_ratio_curve(g, result.bridgeness, name="bridgeness"),
+        }
+    except ValueError as exc:
+        raise CliError(f"cannot rank: {exc}") from exc
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "g_scores.csv", "w", encoding="utf-8") as fh:
         write_indicator_csv(indicator_result, partition, fh, table)
-
-    curves = {
-        "g": cumulative_ratio_curve(g, g, name="g"),
-        "bc": cumulative_ratio_curve(g, result.bc, name="bc"),
-        "bridgeness": cumulative_ratio_curve(g, result.bridgeness, name="bridgeness"),
-    }
     for name, curve in curves.items():
         write_curve_csv(curve, str(out_dir / f"curve_{name}.csv"))
         write_curve_csv(smooth(curve, args.window), str(out_dir / f"curve_{name}_smoothed.csv"))
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="node_id,community CSV")
     p.add_argument("--detect", choices=["louvain"], help="detect the partition instead")
     p.add_argument("--seed", type=int, help="seed for --detect louvain")
-    p.add_argument("--window", type=int, default=200)
+    p.add_argument("--window", type=_positive_int, default=200)
     _add_workers(p)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_evaluate)

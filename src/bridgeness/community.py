@@ -26,7 +26,7 @@ class LouvainConfig:
     def __post_init__(self) -> None:
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
-        if self.min_gain <= 0:
+        if not self.min_gain > 0:
             raise ValueError("min_gain must be > 0")
 
 

@@ -2,12 +2,11 @@
 
 Phase 1 draws a global power-law degree sequence, places every node into a
 community large enough to host its degree (so hubs concentrate in the big
-communities), and wires each community in isolation as a degree-sequence
-random graph. The default pairing is degree-assortative, giving each
-community a hub core and a low-degree periphery like real transport and
-collaboration networks; ``wiring="random"`` gives the plain uniform
-configuration model. Phase 2 turns intra-community links into
-inter-community links until the target mixing fraction mu is reached.
+communities), and wires each community in isolation as a degree-assortative
+random graph, giving each community a hub core and a low-degree periphery
+like real transport and collaboration networks. Phase 2 turns
+intra-community links into inter-community links until the target mixing
+fraction mu is reached.
 
 The classic construction picks a random internal *link* to rewire, which
 selects endpoints proportionally to degree and so produces bridges biased
@@ -17,15 +16,16 @@ links uniformly, and moves the far endpoint outside the community; the
 chosen node keeps its degree and the selection is degree-blind.
 ``selection="link"`` keeps the biased variant available for comparison.
 
-The degree-proportional target draw (``target="stub"``) descends a Fenwick
-tree of the degrees (Fenwick 1994) in O(log n) and returns exactly the node
-``rng.choice(n, p=degrees / degrees.sum())`` would from the same draw: a
-draw too close to a bucket edge for numpy's float CDF to be sure of it is
-answered by numpy's own computation instead.
+The far endpoint reattaches to a degree-proportional stub. That draw
+descends a Fenwick tree of the degrees (Fenwick 1994) in O(log n) and
+returns exactly the node ``rng.choice(n, p=degrees / degrees.sum())`` would
+from the same draw: a draw too close to a bucket edge for numpy's float CDF
+to be sure of it is answered by numpy's own computation instead.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +41,11 @@ class GenerationError(RuntimeError):
 
 
 _ASSORT_NOISE = 0.35  # spread of the degree key used for assortative pairing
+_SIZE_EXPONENT = 2.0  # power law of the community sizes
+_MIN_COMMUNITY_SIZE = 22
+_MAX_COMMUNITY_SIZE = 200
+_MAX_TARGET_RETRIES = 64  # stub draws per rewire before the kept node is resampled
+_MAX_REWIRE_ATTEMPTS = 1_000_000
 _EXACT_UNIT = 1 << 53  # draws and the guard margin are counted in units of 2**-53
 
 
@@ -49,12 +54,10 @@ class LfrConfig:
     """Parameters for one synthetic network.
 
     Degrees are drawn from a truncated power law (``exponent``,
-    ``min_degree``, ``max_degree``) and rescaled to ``mean_degree`` when it
-    is set. Community sizes follow their own truncated power law
-    (``size_exponent`` on [``min_community_size``, ``max_community_size``],
-    rescaled to sum to ``n``); pass ``size_exponent=None`` for near-equal
-    sizes or ``community_sizes`` for explicit ones. Everything is a pure
-    function of ``seed``.
+    ``min_degree``, ``max_degree``) and rescaled to ``mean_degree``.
+    Community sizes follow their own truncated power law (exponent 2 on
+    [22, 200], rescaled to sum to ``n``). Everything is a pure function of
+    ``seed``.
     """
 
     n: int
@@ -64,16 +67,8 @@ class LfrConfig:
     exponent: float = 2.5
     min_degree: int = 12
     max_degree: int = 50
-    mean_degree: float | None = 15.0
-    size_exponent: float | None = 2.0
-    min_community_size: int = 22
-    max_community_size: int = 200
-    community_sizes: tuple[int, ...] | None = None
+    mean_degree: float = 15.0
     selection: str = "node"
-    target: str = "stub"
-    wiring: str = "assortative"
-    max_target_retries: int = 64
-    max_rewire_attempts: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.communities < 1 or self.n < self.communities:
@@ -84,28 +79,10 @@ class LfrConfig:
             raise ValueError("need 1 <= min_degree <= max_degree")
         if self.exponent <= 1.0:
             raise ValueError("exponent must be > 1")
-        if self.size_exponent is not None and self.size_exponent <= 1.0:
-            raise ValueError("size_exponent must be > 1")
-        if self.min_community_size < 1:
-            raise ValueError("min_community_size must be positive")
-        if self.max_community_size < self.min_community_size:
-            raise ValueError("max_community_size must be >= min_community_size")
+        if not 0.0 < self.mean_degree < math.inf:
+            raise ValueError("mean_degree must be positive and finite")
         if self.selection not in ("node", "link"):
             raise ValueError("selection must be 'node' or 'link'")
-        if self.target not in ("stub", "node"):
-            raise ValueError("target must be 'stub' or 'node'")
-        if self.wiring not in ("assortative", "random"):
-            raise ValueError("wiring must be 'assortative' or 'random'")
-        if self.max_target_retries < 1:
-            raise ValueError("max_target_retries must be >= 1")
-        if self.max_rewire_attempts < 1:
-            raise ValueError("max_rewire_attempts must be >= 1")
-        sizes = self.community_sizes
-        if sizes is not None:
-            if len(sizes) != self.communities or sum(sizes) != self.n:
-                raise ValueError("community_sizes must sum to n over 'communities' entries")
-            if min(sizes) < 1:
-                raise ValueError("community sizes must be positive")
         smallest = min(self.sizes())
         if self.min_degree > smallest - 1:
             raise ValueError(
@@ -113,17 +90,12 @@ class LfrConfig:
             )
 
     def sizes(self) -> tuple[int, ...]:
-        if self.community_sizes is not None:
-            return self.community_sizes
-        if self.size_exponent is None:
-            base, extra = divmod(self.n, self.communities)
-            return tuple(base + 1 if c < extra else base for c in range(self.communities))
         # dedicated stream so phase-1 draws do not depend on the size draw
         rng = np.random.default_rng([self.seed, 0x5123])
-        floor = min(self.min_community_size, self.n // self.communities)
+        floor = min(_MIN_COMMUNITY_SIZE, self.n // self.communities)
         # ceil must leave room to reach n even if every community maxes out
-        ceil = max(self.max_community_size, floor + 1, -(-self.n // self.communities))
-        gamma = self.size_exponent
+        ceil = max(_MAX_COMMUNITY_SIZE, floor + 1, -(-self.n // self.communities))
+        gamma = _SIZE_EXPONENT
         a = floor ** (1.0 - gamma)
         b = ceil ** (1.0 - gamma)
         raw = (a + rng.random(self.communities) * (b - a)) ** (1.0 / (1.0 - gamma))
@@ -168,8 +140,7 @@ def _sample_degrees(config: LfrConfig, rng: np.random.Generator) -> np.ndarray:
     a = lo ** (1.0 - gamma)
     b = hi ** (1.0 - gamma)
     raw = (a + u * (b - a)) ** (1.0 / (1.0 - gamma))
-    if config.mean_degree is not None:
-        raw *= config.mean_degree / raw.mean()
+    raw *= config.mean_degree / raw.mean()
     return np.maximum(np.rint(raw).astype(np.int64), 1)
 
 
@@ -273,46 +244,6 @@ def _assign_communities(
     return labels
 
 
-def _pair_stubs(members, degrees, adjacency, rng: np.random.Generator) -> tuple[list, int]:
-    """Configuration-model pairing within one community.
-
-    Colliding pairs (self-loops, repeats) are thrown back and re-shuffled.
-    Stubs stuck in the dense endgame are placed by degree-preserving edge
-    swaps against already-placed edges; anything still unplaceable after
-    bounded attempts is dropped, trimming a few degrees at most. Returns the
-    edges and the number of dropped stubs.
-    """
-    stubs = np.repeat(members, degrees[members])
-    edges: list[tuple[int, int]] = []
-    for _ in range(200):
-        if stubs.size < 2:
-            break
-        rng.shuffle(stubs)
-        leftover = []
-        progressed = False
-        for i in range(0, stubs.size - 1, 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            if u != v and v not in adjacency[u]:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-                edges.append((u, v))
-                progressed = True
-            else:
-                leftover.append(u)
-                leftover.append(v)
-        if stubs.size % 2 == 1:
-            leftover.append(int(stubs[-1]))
-        stubs = np.asarray(leftover, dtype=np.int64)
-        if not progressed:
-            break
-
-    dropped = _swap_repair(stubs, edges, adjacency, rng)
-    if dropped:
-        logger.warning("dropped %d unplaceable stub(s) in a community of size %d",
-                       dropped, len(members))
-    return edges, dropped
-
-
 def _swap_repair(stubs, edges, adjacency, rng: np.random.Generator) -> int:
     """Place leftover stub pairs by degree-preserving swaps with placed edges.
 
@@ -365,9 +296,9 @@ def _pair_stubs_assortative(
 
     Stubs are ordered by their owner's degree perturbed with multiplicative
     noise, then paired consecutively, so hubs interconnect into a dense core
-    and low-degree nodes attach to the periphery. Collisions fall through to
-    the rejection/swap machinery, keeping the graph simple and the degree
-    sequence intact. Returns the edges and the number of dropped stubs.
+    and low-degree nodes attach to the periphery. Stubs that find no partner
+    go to ``_swap_repair``, keeping the graph simple and the degree sequence
+    intact. Returns the edges and the number of dropped stubs.
     """
     stubs = np.repeat(members, degrees[members])
     if stubs.size == 0:
@@ -439,9 +370,8 @@ def _rewire_to_mu(
     rng: np.random.Generator,
     *,
     selection: str,
-    target: str,
-    max_target_retries: int,
-    max_attempts: int,
+    max_target_retries: int = _MAX_TARGET_RETRIES,
+    max_attempts: int = _MAX_REWIRE_ATTEMPTS,
 ) -> frozenset[int]:
     """Convert intra links to inter links until the mixing target is met.
 
@@ -449,9 +379,8 @@ def _rewire_to_mu(
     still own an intra link (degree-unbiased); ``"link"`` picks an intra
     link uniformly and keeps a random endpoint (degree-biased, the classic
     construction). The freed far end reattaches to a random external stub
-    (``target="stub"``, degree-proportional, see ``_StubSampler``) or to a
-    uniformly random external node (``target="node"``). Returns the set of
-    kept endpoints.
+    (degree-proportional, see ``_StubSampler``). Returns the set of kept
+    endpoints.
     """
     n = len(state.adjacency)
     labels = state.labels
@@ -477,19 +406,15 @@ def _rewire_to_mu(
             a, b = state.intra_edges[int(rng.integers(len(state.intra_edges)))]
             v, u = (a, b) if rng.random() < 0.5 else (b, a)
 
-        placed = False
+        # a kept node saturated toward the outside is resampled next attempt
         for _ in range(max_target_retries):
-            w = stubs.draw(rng) if target == "stub" else int(rng.integers(n))
-            if labels[w] == labels[v] or w in state.adjacency[v]:
-                continue
-            state.drop_intra(v, u)
-            state.add_inter(v, w)
-            stubs.move(u, w)
-            rewired.add(v)
-            placed = True
-            break
-        if not placed:
-            continue  # saturated toward the outside; resample
+            w = stubs.draw(rng)
+            if labels[w] != labels[v] and w not in state.adjacency[v]:
+                state.drop_intra(v, u)
+                state.add_inter(v, w)
+                stubs.move(u, w)
+                rewired.add(v)
+                break
     return frozenset(rewired)
 
 
@@ -500,7 +425,6 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
     degrees = _sample_degrees(config, rng)
     labels = _assign_communities(degrees, sizes, rng)
 
-    wire = _pair_stubs_assortative if config.wiring == "assortative" else _pair_stubs
     adjacency: list[set[int]] = [set() for _ in range(config.n)]
     intra_edges: list[tuple[int, int]] = []
     dropped_stubs = 0
@@ -513,7 +437,7 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
                 degrees[bump] += 1
             else:
                 degrees[members[np.argmax(degrees[members])]] -= 1
-        wired, dropped = wire(members, degrees, adjacency, rng)
+        wired, dropped = _pair_stubs_assortative(members, degrees, adjacency, rng)
         intra_edges.extend(tuple(sorted(e)) for e in wired)
         dropped_stubs += dropped
 
@@ -525,15 +449,7 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
         edge_count=len(intra_edges),
     )
     if config.mu > 0.0:
-        rewired = _rewire_to_mu(
-            state,
-            config.mu,
-            rng,
-            selection=config.selection,
-            target=config.target,
-            max_target_retries=config.max_target_retries,
-            max_attempts=config.max_rewire_attempts,
-        )
+        rewired = _rewire_to_mu(state, config.mu, rng, selection=config.selection)
     else:
         rewired = frozenset()
 

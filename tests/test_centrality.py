@@ -4,6 +4,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgeness import (
     Graph,
@@ -133,6 +135,28 @@ def test_decomposition_and_ordering_invariants():
         assert np.all(result.bridgeness >= 0.0)
         assert np.all(result.bridgeness <= si)
         assert np.all(si <= result.bc)
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 25 nodes with arbitrary edges: isolated nodes and several components occur."""
+    n = draw(st.integers(0, 25))
+    if n < 2:
+        return Graph.from_edges(n, [])
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    return Graph.from_edges(n, {(min(e), max(e)) for e in pairs if e[0] != e[1]})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=small_graphs())
+def test_decomposition_invariants_on_small_graphs(g):
+    result = bridgeness_exact(g, workers=1)
+    scale = np.maximum(np.abs(result.bc), 1.0)
+    assert np.all(np.abs(result.bc - (result.bridgeness + result.local)) / scale < 1e-9)
+    assert np.all(result.bridgeness >= 0.0)
+    assert np.all(result.bridgeness <= result.si)
+    assert np.all(result.si <= result.bc)
 
 
 def test_worker_count_does_not_change_results():

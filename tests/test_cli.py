@@ -1,10 +1,12 @@
+import argparse
+import dataclasses
 import json
 
 import pytest
 
 import bridgeness
 from bridgeness.centrality import default_workers
-from bridgeness.cli import main
+from bridgeness.cli import build_parser, main
 
 from util import bridgeness_bruteforce
 
@@ -190,6 +192,22 @@ def test_generate_degenerate_config_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "nan"])
+def test_generate_bad_mean_degree_exits_1(tmp_path, capsys, value):
+    code = main(["generate", *LFR_ARGS, "--mean-degree", value,
+                 "--output-prefix", str(tmp_path / "x")])
+    assert code == 1
+    assert "error: generation failed" in capsys.readouterr().err
+    assert not (tmp_path / "x.edges").exists()
+
+
+def test_lfr_config_fields_are_the_generate_options():
+    # a generator knob without a CLI flag is public API no pipeline reads
+    args = build_parser().parse_args(["generate", *LFR_ARGS, "--output-prefix", "x"])
+    options = set(vars(args)) - {"command", "func", "output_prefix"}
+    assert options == {f.name for f in dataclasses.fields(bridgeness.LfrConfig)}
+
+
 def test_generated_files_feed_other_commands(tmp_path):
     prefix = tmp_path / "net"
     assert main(["generate", *LFR_ARGS, "--output-prefix", str(prefix)]) == 0
@@ -221,6 +239,17 @@ def test_communities_command_roundtrip(tmp_path, capsys):
     first = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == first  # same seed, same partition
+
+
+@pytest.mark.parametrize("flags", [["--max-passes", "0"], ["--min-gain", "0"],
+                                   ["--min-gain", "nan"]], ids=" ".join)
+def test_communities_bad_config_exits_1(tmp_path, capsys, flags):
+    edges = tmp_path / "g.edges"
+    write_small_graph(edges)
+    code = main(["communities", "--input", str(edges), "--seed", "1",
+                 "--output", str(tmp_path / "p.csv"), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_evaluate_with_partition(tmp_path, capsys):
@@ -278,6 +307,53 @@ def test_evaluate_detect_requires_seed(tmp_path):
     write_small_graph(edges)
     assert main(["evaluate", "--input", str(edges), "--detect", "louvain",
                  "--output-dir", str(tmp_path / "eval")]) == 1
+
+
+def test_evaluate_window_below_1_exits_2(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    part = tmp_path / "p.csv"
+    write_small_graph(edges)
+    write_small_partition(part)
+    with pytest.raises(SystemExit) as err:
+        main(["evaluate", "--input", str(edges), "--partition", str(part), "--window", "0",
+              "--output-dir", str(tmp_path / "eval"), "--workers", "1"])
+    assert err.value.code == 2
+    assert "argument --window" in capsys.readouterr().err
+
+
+EMPTY_GRAPH_RUNS = {
+    "centrality": ["--output", "{d}/c.csv", "--workers", "1"],
+    "indicator": ["--partition", "{d}/p.csv", "--output", "{d}/g.csv"],
+    "communities": ["--seed", "1", "--output", "{d}/louvain.csv"],
+    "evaluate": ["--partition", "{d}/p.csv", "--output-dir", "{d}/eval", "--workers", "1"],
+    "evaluate-detect": ["--detect", "louvain", "--seed", "1", "--output-dir", "{d}/eval",
+                        "--workers", "1"],
+    "report": ["--partition", "{d}/p.csv", "--output", "{d}/r.csv", "--workers", "1"],
+}
+
+
+def test_empty_graph_runs_cover_every_input_command():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    reading = {name for name, sub in commands.choices.items()
+               if any(action.dest == "input" for action in sub._actions)}
+    assert reading == {name.split("-")[0] for name in EMPTY_GRAPH_RUNS}
+    assert set(commands.choices) - reading == {"generate"}  # reads no edge list
+
+
+@pytest.mark.parametrize("run", sorted(EMPTY_GRAPH_RUNS))
+def test_every_command_takes_an_empty_edge_list(tmp_path, capsys, run):
+    (tmp_path / "g.edges").write_text("")
+    (tmp_path / "p.csv").write_text("")
+    argv = [run.split("-")[0], "--input", str(tmp_path / "g.edges"),
+            *(arg.format(d=tmp_path) for arg in EMPTY_GRAPH_RUNS[run])]
+    code = main(argv)  # an uncaught exception fails the test
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_indicator_command_comma_delimited(tmp_path):
