@@ -67,19 +67,19 @@ class _LevelGraph:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "_LevelGraph":
-        adj: list[dict[int, float]] = [dict() for _ in range(graph.node_count)]
-        for u, v in graph.edges:
-            adj[int(u)][int(v)] = 1.0
-            adj[int(v)][int(u)] = 1.0
+        # neighbours in ascending order, the order _one_level and _aggregate sum in
+        indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+        adj = [dict.fromkeys(indices[a:b], 1.0) for a, b in zip(indptr, indptr[1:])]
         return cls(adj, [0.0] * graph.node_count)
 
 
 def _one_level(level: _LevelGraph, rng: random.Random) -> list[int]:
     """Greedy local moves until no single move improves modularity."""
-    n = len(level.adj)
-    m = level.total_weight
+    adj, strength = level.adj, level.strength
+    n = len(adj)
+    two_m = 2.0 * level.total_weight
     comm = list(range(n))
-    comm_strength = list(level.strength)
+    comm_strength = list(strength)
     order = list(range(n))
 
     moved = True
@@ -88,19 +88,21 @@ def _one_level(level: _LevelGraph, rng: random.Random) -> list[int]:
         rng.shuffle(order)
         for v in order:
             cv = comm[v]
-            kv = level.strength[v]
+            kv = strength[v]
             # links from v to each neighboring community
             to_comm: dict[int, float] = {}
-            for w, weight in level.adj[v].items():
-                to_comm[comm[w]] = to_comm.get(comm[w], 0.0) + weight
+            get = to_comm.get
+            for w, weight in adj[v].items():
+                c = comm[w]
+                to_comm[c] = get(c, 0.0) + weight
             comm_strength[cv] -= kv
             best_comm = cv
-            best_gain = to_comm.get(cv, 0.0) - comm_strength[cv] * kv / (2.0 * m)
+            best_gain = get(cv, 0.0) - comm_strength[cv] * kv / two_m
             # ascending label order + strict improvement = lowest label wins ties
             for cand, k_in in sorted(to_comm.items()):
                 if cand == cv:
                     continue
-                gain = k_in - comm_strength[cand] * kv / (2.0 * m)
+                gain = k_in - comm_strength[cand] * kv / two_m
                 if gain > best_gain + 1e-12:
                     best_gain = gain
                     best_comm = cand

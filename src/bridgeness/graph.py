@@ -3,7 +3,10 @@
 Graphs are simple and unweighted (no self-loops, no duplicate edges, no
 edge weights) and use dense internal indices in ``[0, node_count)``.
 External string IDs live in a separate :class:`NodeTable` so algorithms
-work on plain integer arrays.
+work on plain integer arrays. :meth:`Graph.from_edges` takes an ``(m, 2)``
+integer array as it is and builds the CSR from one sort of int64 edge keys;
+:func:`load_edge_list` numbers IDs line by line and drops self-loops and
+duplicates with whole-array operations.
 """
 from __future__ import annotations
 
@@ -23,6 +26,13 @@ class EdgeListError(ValueError):
 
 class PartitionError(ValueError):
     """Partition input that does not cover the graph or names unknown nodes."""
+
+
+def _edge_keys(node_count: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``rows * node_count + cols`` in int64, which needs ``node_count**2 < 2**63``."""
+    if node_count * node_count >= 1 << 63:
+        raise ValueError(f"node_count {node_count} too large: edge keys need node_count**2 < 2**63")
+    return rows * node_count + cols
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -47,14 +57,17 @@ class Graph:
     indices: np.ndarray
 
     @classmethod
-    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, node_count: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from unique undirected edges.
 
-        Raises ValueError on self-loops, duplicate edges (in either
-        orientation) or out-of-range endpoints; use :func:`load_edge_list`
-        for inputs that need cleanup.
+        ``edges`` is an ``(m, 2)`` integer array, used as it is, or any
+        iterable of pairs. Raises ValueError on self-loops, duplicate edges
+        (in either orientation) or out-of-range endpoints; use
+        :func:`load_edge_list` for inputs that need cleanup.
         """
-        edge_arr = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_arr = np.asarray(edges, dtype=np.int64)
         if edge_arr.size == 0:
             edge_arr = edge_arr.reshape(0, 2)
         m = edge_arr.shape[0]
@@ -62,24 +75,24 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if m and np.any(edge_arr[:, 0] == edge_arr[:, 1]):
             raise ValueError("self-loops are not allowed")
-        lo = edge_arr.min(axis=1) if m else edge_arr[:, 0]
-        hi = edge_arr.max(axis=1) if m else edge_arr[:, 1]
-        canon = np.column_stack((lo, hi))[np.lexsort((hi, lo))]
-        if m > 1 and np.any(np.all(canon[1:] == canon[:-1], axis=1)):
+        lo = edge_arr.min(axis=1)
+        hi = edge_arr.max(axis=1)
+        # each edge as one int64 key lo*width + hi, so sorting keys sorts by (lo, hi)
+        width = max(node_count, 1)  # a graph without nodes has no edges
+        key = np.sort(_edge_keys(width, lo, hi))
+        if m > 1 and np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
 
         # symmetric CSR: both orientations, sorted by (row, neighbor)
-        src = np.concatenate((lo, hi))
-        dst = np.concatenate((hi, lo))
-        indices = dst[np.lexsort((dst, src))]
+        both = np.sort(np.concatenate((key, _edge_keys(width, hi, lo))))
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+        np.cumsum(np.bincount(both // width, minlength=node_count), out=indptr[1:])
 
         return cls(
             node_count=int(node_count),
-            edges=_frozen(canon),
+            edges=_frozen(np.column_stack(np.divmod(key, width))),
             indptr=_frozen(indptr),
-            indices=_frozen(indices),
+            indices=_frozen(both % width),
         )
 
     @property
@@ -147,12 +160,8 @@ class Partition:
     def from_labels(cls, raw: Sequence) -> "Partition":
         """Relabel arbitrary per-node labels densely, by first appearance."""
         mapping: dict = {}
-        dense = np.zeros(len(raw), dtype=np.int64)
-        for i, label in enumerate(raw):
-            if label not in mapping:
-                mapping[label] = len(mapping)
-            dense[i] = mapping[label]
-        return cls(labels=dense, community_count=len(mapping))
+        dense = [mapping.setdefault(label, len(mapping)) for label in raw]
+        return cls(labels=np.array(dense, dtype=np.int64), community_count=len(mapping))
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
@@ -162,12 +171,6 @@ class Partition:
 
     def members(self, community: int) -> np.ndarray:
         return np.flatnonzero(self.labels == community)
-
-
-def _split_line(line: str, delimiter: str | None) -> list[str]:
-    if delimiter is None:
-        return line.split()
-    return [tok.strip() for tok in line.split(delimiter)]
 
 
 def load_edge_list(
@@ -182,39 +185,32 @@ def load_edge_list(
     are dropped. Both are reported through a single warning with counts.
     ``delimiter=None`` splits on whitespace.
     """
-    ids: list[str] = []
-    index: dict[str, int] = {}
-    edges: dict[tuple[int, int], None] = {}  # insertion-ordered set
-    self_loops = 0
-    duplicates = 0
-
-    def intern(token: str) -> int:
-        if token not in index:
-            index[token] = len(ids)
-            ids.append(token)
-        return index[token]
-
+    index: dict[str, int] = {}  # ID -> internal index, in order of first appearance
+    endpoints: list[int] = []  # two per edge line
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
-        if not line:
+        if not line or (skip_comments and line[0] == "#"):
             continue
-        if skip_comments and line.startswith("#"):
-            continue
-        tokens = _split_line(line, delimiter)
-        if len(tokens) != 2:
+        pair = line.split(delimiter)  # None splits on whitespace
+        if delimiter is not None:
+            pair = [tok.strip() for tok in pair]
+        if len(pair) != 2:
             raise EdgeListError(
-                f"line {lineno}: expected 2 fields, got {len(tokens)}: {line!r}"
+                f"line {lineno}: expected 2 fields, got {len(pair)}: {line!r}"
             )
-        u = intern(tokens[0])
-        v = intern(tokens[1])
-        if u == v:
-            self_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            duplicates += 1
-            continue
-        edges[key] = None
+        u, v = pair
+        endpoints += index.setdefault(u, len(index)), index.setdefault(v, len(index))
+
+    ids = list(index)
+    n = len(ids)
+    ends = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+    loops = ends[:, 0] == ends[:, 1]
+    ends = ends[~loops]
+    width = max(n, 1)
+    keys = np.sort(_edge_keys(width, ends.min(axis=1), ends.max(axis=1)))
+    unique = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+    self_loops = int(loops.sum())
+    duplicates = len(keys) - len(unique)
 
     if self_loops or duplicates:
         logger.warning(
@@ -223,15 +219,17 @@ def load_edge_list(
             duplicates,
         )
 
-    return Graph.from_edges(len(ids), edges), NodeTable(ids=tuple(ids))
+    edges = np.column_stack(np.divmod(unique, width))
+    return Graph.from_edges(n, edges), NodeTable(ids=tuple(ids))
 
 
 def write_edge_list(
     graph: Graph, table: NodeTable, stream: IO[str], *, delimiter: str = " "
 ) -> None:
     """Write one ``src dst`` line per edge, reloadable by ``load_edge_list``."""
-    for u, v in graph.edges:
-        stream.write(f"{table.id_of(int(u))}{delimiter}{table.id_of(int(v))}\n")
+    ids = table.ids
+    lo, hi = graph.edges.T.tolist()  # a list per edge would churn the cyclic GC
+    stream.write("".join([f"{ids[u]}{delimiter}{ids[v]}\n" for u, v in zip(lo, hi)]))
 
 
 def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partition:
@@ -269,6 +267,7 @@ def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partiti
 
 def write_partition(partition: Partition, table: NodeTable, stream: IO[str]) -> None:
     """Write ``node_id,community`` lines in internal index order."""
-    for i, label in enumerate(partition.labels):
-        stream.write(f"{table.id_of(i)},{int(label)}\n")
+    ids = table.ids
+    stream.write("".join([f"{ids[i]},{label}\n"
+                          for i, label in enumerate(partition.labels.tolist())]))
 

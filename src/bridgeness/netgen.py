@@ -21,12 +21,18 @@ descends a Fenwick tree of the degrees (Fenwick 1994) in O(log n) and
 returns exactly the node ``rng.choice(n, p=degrees / degrees.sum())`` would
 from the same draw: a draw too close to a bucket edge for numpy's float CDF
 to be sure of it is answered by numpy's own computation instead.
+
+The finished adjacency goes to :meth:`Graph.from_edges` as one ``(m, 2)``
+array; the CSR build sorts it, so set iteration order never reaches the
+output.
 """
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import stats
@@ -77,7 +83,7 @@ class LfrConfig:
             raise ValueError("mu must be in [0, 1)")
         if not 1 <= self.min_degree <= self.max_degree:
             raise ValueError("need 1 <= min_degree <= max_degree")
-        if self.exponent <= 1.0:
+        if not self.exponent > 1.0:
             raise ValueError("exponent must be > 1")
         if not 0.0 < self.mean_degree < math.inf:
             raise ValueError("mean_degree must be positive and finite")
@@ -228,16 +234,15 @@ def _assign_communities(
     size_arr = np.asarray(sizes, dtype=np.int64)
     labels = np.full(n, -1, dtype=np.int64)
     order = np.lexsort((np.arange(n), -degrees))
-    for v in order:
-        k = degrees[v]
-        feasible = (size_arr > k) & (free > 0)
-        if not feasible.any():
+    for v in order.tolist():
+        # communities too small for the degree weigh 0, and so do full ones
+        weights = np.where(size_arr > degrees[v], free, 0.0)
+        if not weights.any():
             # shrink the degree to the roomiest community still open
             open_comms = free > 0
             c = int(np.flatnonzero(open_comms)[np.argmax(size_arr[open_comms])])
             degrees[v] = size_arr[c] - 1
         else:
-            weights = np.where(feasible, free, 0).astype(np.float64)
             c = _weighted_index(weights, rng.random())
         labels[v] = c
         free[c] -= 1
@@ -307,12 +312,12 @@ def _pair_stubs_assortative(
     stubs = stubs[np.lexsort((stubs, -key))]
     edges: list[tuple[int, int]] = []
     pending: list[int] = []
-    for stub in stubs:
-        u = int(stub)
+    for u in stubs.tolist():
+        adj_u = adjacency[u]
         # nearest-rank stub of a different, not-yet-adjacent node
         for i, v in enumerate(pending):
-            if v != u and v not in adjacency[u]:
-                adjacency[u].add(v)
+            if v != u and v not in adj_u:
+                adj_u.add(v)
                 adjacency[v].add(u)
                 edges.append((v, u))
                 del pending[i]
@@ -328,21 +333,27 @@ def _pair_stubs_assortative(
 
 @dataclass
 class _WiringState:
-    """Mutable edge structures shared by the rewiring phase."""
+    """Mutable edge structures shared by the rewiring phase.
+
+    ``intra[v]`` is the sorted list of ``v``'s intra-community neighbours,
+    built from ``intra_edges`` and kept by ``drop_intra``.
+    """
 
     labels: np.ndarray
     adjacency: list[set[int]]
     intra_edges: list[tuple[int, int]]
     intra_pos: dict[tuple[int, int], int] = field(default_factory=dict)
+    intra: list[list[int]] = field(init=False)
     inter_count: int = 0
     edge_count: int = 0
 
     def __post_init__(self) -> None:
         self.intra_pos = {e: i for i, e in enumerate(self.intra_edges)}
-
-    def intra_neighbors(self, v: int) -> list[int]:
-        lv = self.labels[v]
-        return sorted(w for w in self.adjacency[v] if self.labels[w] == lv)
+        ends = np.fromiter(chain.from_iterable(self.intra_edges), dtype=np.int64,
+                           count=2 * len(self.intra_edges))
+        csr = Graph.from_edges(len(self.adjacency), ends.reshape(-1, 2))
+        indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
+        self.intra = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
 
     def drop_intra(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)
@@ -354,6 +365,9 @@ class _WiringState:
             self.intra_pos[last] = pos
         self.adjacency[u].discard(v)
         self.adjacency[v].discard(u)
+        for a, b in ((u, v), (v, u)):
+            row = self.intra[a]
+            del row[bisect_left(row, b)]
 
     def add_inter(self, u: int, v: int) -> None:
         self.adjacency[u].add(v)
@@ -383,7 +397,7 @@ def _rewire_to_mu(
     endpoints.
     """
     n = len(state.adjacency)
-    labels = state.labels
+    labels = state.labels.tolist()
     stubs = _StubSampler([len(a) for a in state.adjacency])
     rewired: set[int] = set()
     attempts = 0
@@ -398,7 +412,7 @@ def _rewire_to_mu(
 
         if selection == "node":
             v = int(rng.integers(n))
-            intra = state.intra_neighbors(v)
+            intra = state.intra[v]
             if not intra:
                 continue  # rejection keeps the draw uniform over eligible nodes
             u = intra[int(rng.integers(len(intra)))]
@@ -438,7 +452,7 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
             else:
                 degrees[members[np.argmax(degrees[members])]] -= 1
         wired, dropped = _pair_stubs_assortative(members, degrees, adjacency, rng)
-        intra_edges.extend(tuple(sorted(e)) for e in wired)
+        intra_edges += [(u, v) if u < v else (v, u) for u, v in wired]
         dropped_stubs += dropped
 
     state = _WiringState(
@@ -453,13 +467,10 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
     else:
         rewired = frozenset()
 
-    edges = sorted(
-        (v, w) if v < w else (w, v)
-        for v in range(config.n)
-        for w in state.adjacency[v]
-        if v < w
-    )
-    graph = Graph.from_edges(config.n, edges)
+    rows = np.repeat(np.arange(config.n), [len(a) for a in state.adjacency])
+    cols = np.fromiter(chain.from_iterable(state.adjacency), dtype=np.int64, count=len(rows))
+    upper = rows < cols  # each undirected edge once
+    graph = Graph.from_edges(config.n, np.column_stack((rows[upper], cols[upper])))
     partition = Partition(labels=labels, community_count=config.communities)
     achieved = state.mu()
     return GeneratedNetwork(

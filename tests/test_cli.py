@@ -201,6 +201,15 @@ def test_generate_bad_mean_degree_exits_1(tmp_path, capsys, value):
     assert not (tmp_path / "x.edges").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "1", "0.5"])
+def test_generate_bad_exponent_exits_1(tmp_path, capsys, value):
+    code = main(["generate", *LFR_ARGS, "--exponent", value,
+                 "--output-prefix", str(tmp_path / "x")])
+    assert code == 1
+    assert "error: generation failed: exponent must be > 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.edges").exists()
+
+
 def test_lfr_config_fields_are_the_generate_options():
     # a generator knob without a CLI flag is public API no pipeline reads
     args = build_parser().parse_args(["generate", *LFR_ARGS, "--output-prefix", "x"])

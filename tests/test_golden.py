@@ -12,13 +12,20 @@ They pin the edges, labels, rewired set and ``achieved_mu`` of ``generate``
 for both ``selection`` modes, so a faster sampler must consume the same
 random stream and pick the same nodes. The test ids keep the
 wiring-target-selection names the digests were recorded under.
+
+The Louvain, edge-list and pipeline digests were recorded from the
+per-element implementations of the parser, the CSR build and the Louvain
+level graph. They pin the Louvain labels and the ``repr`` of every pass's
+modularity, the node table and CSR arrays of a messy edge list, and the
+bytes ``generate``, ``communities`` and ``indicator`` write at n=1000.
 """
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
-from bridgeness import Graph, LfrConfig, generate
+from bridgeness import Graph, LfrConfig, LouvainConfig, generate, load_edge_list, louvain_passes
 from bridgeness.centrality import _brandes_accumulate
 from bridgeness.cli import main
 
@@ -65,6 +72,57 @@ GENERATOR = {  # by selection; assortative wiring and stub targets
     "link": "d812a3be4bc9c66e10f7b76759c409985f0ec4e6765b0492911a1d795e0d8717",
 }
 GENERATOR_DEFAULT_1000 = "81b206beaf8d0585657b76567f2609555a88811ead65a4bcff95474e6736a606"
+
+LOUVAIN = {
+    "lfr300": "89d3c7b22cedd73d77e95add7131b6028c7904b070e55a74321504da0e9d1429",
+    "default1000": "a59a9c2d2a44a4a89387a651873e8feec3d130932ea77739dbc074729fd3ebc6",
+}
+
+MESSY_EDGES = (
+    "# comment line\n"
+    "\n"
+    "01 1\n"
+    "1 01\n"
+    "  b   a  \n"
+    "a b\n"
+    "a a\n"
+    "   \n"
+    "# 1 2\n"
+    "2 01\n"
+    "x 2\n"
+    "01 01\n"
+    "2 x\n"
+    "b 2\n"
+    "001 1\n"
+)
+MESSY_COMMA_EDGES = (
+    "# comment line\n"
+    "\n"
+    "01,1\n"
+    "1 , 01\n"
+    "  b ,  a  \n"
+    "a,b\n"
+    "a,a\n"
+    "   \n"
+    "# 1,2\n"
+    "2,01\n"
+    "x y,2\n"
+    "01,01\n"
+    "2,x y\n"
+    "b,2\n"
+    "001,1\n"
+)
+LOADED = {
+    None: "e7d330f8cbf5c803b934b2b6aa27e0c898e0ab8d584cc1e8bfe9175ae42da2e2",
+    ",": "02601139b9f0f327bd835d3db63068375eccf5f191b47aeb6a92bfdba3bc326a",
+}
+
+PIPELINE_1000 = {
+    "net.edges": "3c3cdb59ba3c6a9fb393bbfea9f7b0da5b3e0278bb0b60a830dbe48892d4b4eb",
+    "net.communities.csv": "bb19bf6cff7b2cb07da756edd5cc7b9f31bd2e9d2d9f3994a36d8f60f1badbfa",
+    "louvain.csv": "42ac543a414a2261e0250f414eaa596c5173ea1c36aa1c2036bd844ab2ff3aad",
+    "g.csv": "4fe7c40e583b95f8e8fb7e526e4e36c43dcafe944c2961ae5783d13b9243f6fe",
+}
 
 CLI_CSV = {
     "exact": (
@@ -127,3 +185,44 @@ def test_centrality_csv_bytes(tmp_path, variant):
     assert main(["centrality", "--input", str(edges), "--output", str(out),
                  "--variant", variant, "--workers", "1"]) == 0
     assert out.read_bytes() == CLI_CSV[variant].encode()
+
+
+def louvain_graph(name: str) -> Graph:
+    if name == "lfr300":
+        return small_lfr_graph()
+    return generate(LfrConfig(n=1000, communities=30, mu=0.2, seed=7)).graph
+
+
+@pytest.mark.parametrize("name", sorted(LOUVAIN))
+def test_louvain_matches_golden_digest(name):
+    run = louvain_passes(louvain_graph(name), LouvainConfig(seed=5))
+    digest = hashlib.sha256(run.partition.labels.tobytes())
+    digest.update(repr(run.pass_modularity).encode())
+    assert digest.hexdigest() == LOUVAIN[name]
+
+
+@pytest.mark.parametrize("delimiter", sorted(LOADED, key=str), ids=["comma", "whitespace"])
+def test_messy_edge_list_matches_golden_digest(delimiter):
+    text = MESSY_EDGES if delimiter is None else MESSY_COMMA_EDGES
+    graph, table = load_edge_list(io.StringIO(text), delimiter=delimiter)
+    assert "01" in table.ids and "1" in table.ids and "001" in table.ids
+    digest = hashlib.sha256("\n".join(table.ids).encode())
+    for a in (graph.indptr, graph.indices, graph.edges):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == LOADED[delimiter]
+
+
+def test_generate_communities_indicator_bytes(tmp_path):
+    prefix = tmp_path / "net"
+    for argv in (
+        ["generate", "--n", "1000", "--communities", "30", "--mu", "0.2", "--seed", "3",
+         "--output-prefix", str(prefix)],
+        ["communities", "--input", f"{prefix}.edges", "--seed", "3",
+         "--output", str(tmp_path / "louvain.csv")],
+        ["indicator", "--input", f"{prefix}.edges", "--partition", f"{prefix}.communities.csv",
+         "--output", str(tmp_path / "g.csv")],
+    ):
+        assert main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PIPELINE_1000}
+    assert digests == PIPELINE_1000

@@ -1,7 +1,10 @@
 import io
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgeness import (
     EdgeListError,
@@ -15,7 +18,7 @@ from bridgeness import (
     write_partition,
 )
 
-from util import er_graph, star_graph
+from util import er_graph, reference_edge_list, star_graph
 
 
 def load(text, **kwargs):
@@ -49,12 +52,33 @@ def test_load_errors_carry_line_numbers():
 
 
 def test_from_edges_validates():
-    with pytest.raises(ValueError, match="self-loop"):
-        Graph.from_edges(2, [(0, 0)])
-    with pytest.raises(ValueError, match="duplicate"):
-        Graph.from_edges(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError, match="out of range"):
-        Graph.from_edges(2, [(0, 5)])
+    cases = {
+        "self-loop": [(2, [(0, 0)]), (3, [(0, 1), (2, 2)])],
+        "duplicate": [(2, [(0, 1), (1, 0)]), (2, [(0, 1), (0, 1)]),
+                      (3, [(2, 1), (0, 2), (1, 2)])],
+        "out of range": [(2, [(0, 5)]), (2, [(-1, 1)]), (2, [(0, 2)]), (0, [(0, 1)]),
+                         (1, [(0, 1)])],
+    }
+    for message, graphs in cases.items():
+        for n, edges in graphs:
+            for fed in (edges, np.array(edges, dtype=np.int64)):
+                with pytest.raises(ValueError, match=message):
+                    Graph.from_edges(n, fed)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_from_edges_takes_empty_arrays(n):
+    for edges in (np.empty((0, 2), dtype=np.int64), np.array([], dtype=np.int64), []):
+        graph = Graph.from_edges(n, edges)
+        assert graph.edges.shape == (0, 2)
+        assert graph.indptr.tolist() == [0] * (n + 1)
+        assert graph.indices.tolist() == []
+
+
+def test_from_edges_states_the_key_bound():
+    # edges are sorted as int64 keys lo * n + hi, which needs n**2 < 2**63
+    with pytest.raises(ValueError, match=r"node_count\*\*2 < 2\*\*63"):
+        Graph.from_edges(3_037_000_500, np.empty((0, 2), dtype=np.int64))
 
 
 def test_csr_layout_matches_sorted_adjacency():
@@ -82,6 +106,9 @@ def test_csr_layout_matches_sorted_adjacency():
         assert graph.indptr.tolist() == indptr
         assert graph.indices.tolist() == indices
         assert graph.edges.tolist() == sorted(map(list, edges))
+        from_array = Graph.from_edges(n, np.array(fed, dtype=np.int64).reshape(-1, 2))
+        for name in ("edges", "indptr", "indices"):
+            assert getattr(from_array, name).tobytes() == getattr(graph, name).tobytes()
 
 
 def test_graph_arrays_are_read_only():
@@ -167,3 +194,57 @@ def test_node_table_lookup():
         table.index_of("z")
     with pytest.raises(ValueError):
         NodeTable(ids=("x", "x"))
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "01", "1", "001", "x#", "é", "-1"])
+_PADS = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def edge_list_lines(draw, delimiter):
+    """Edge lines with padding, plus blank, comment and malformed lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["loop", "blank", "comment", "bad"]))
+        left, right = draw(_PADS), draw(_PADS)
+        sep = f"{draw(_PADS)},{draw(_PADS)}" if delimiter == "," else draw(_PADS) or " "
+        u = draw(_TOKENS)
+        v = u if kind == "loop" else draw(_TOKENS)
+        if kind == "blank":
+            lines.append(left)
+        elif kind == "comment":
+            lines.append(f"{left}#{u}{sep}{v}")
+        elif kind == "bad":
+            lines.append(left + sep.join(draw(st.lists(_TOKENS, min_size=1, max_size=3)
+                                              .filter(lambda t: len(t) != 2))) + right)
+        else:
+            lines.append(f"{left}{u}{sep}{v}{right}")
+    return [line + "\n" for line in lines]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), delimiter=st.sampled_from([None, ","]), skip_comments=st.booleans())
+def test_load_edge_list_matches_reference_parser(data, delimiter, skip_comments):
+    lines = data.draw(edge_list_lines(delimiter))
+    try:
+        expected = reference_edge_list(lines, delimiter=delimiter, skip_comments=skip_comments)
+    except EdgeListError as exc:
+        with pytest.raises(EdgeListError) as raised:
+            load_edge_list(lines, delimiter=delimiter, skip_comments=skip_comments)
+        assert str(raised.value) == str(exc)
+        return
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("bridgeness.graph")
+    logger.addHandler(handler)
+    try:
+        graph, table = load_edge_list(lines, delimiter=delimiter, skip_comments=skip_comments)
+    finally:
+        logger.removeHandler(handler)
+    ids, edges, self_loops, duplicates = expected
+    assert list(table.ids) == ids
+    assert graph.node_count == len(ids)
+    assert [tuple(e) for e in graph.edges.tolist()] == edges
+    counts = [r.args for r in records if r.msg.startswith("edge list cleanup")]
+    assert counts == ([(self_loops, duplicates)] if self_loops or duplicates else [])

@@ -82,6 +82,9 @@ def test_infeasible_configs_raise():
         LfrConfig(n=10, communities=2, mu=0.1, seed=1, selection="edge")
     with pytest.raises(ValueError):
         LfrConfig(n=10, communities=2, mu=0.1, seed=1, min_degree=0)
+    for bad in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="exponent"):
+            LfrConfig(seed=1, **{**SMALL, "exponent": bad})
     for bad in (-3.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="mean_degree"):
             LfrConfig(seed=1, **{**SMALL, "mean_degree": bad})
@@ -109,6 +112,41 @@ def test_rewiring_exhaustion_errors():
                             max_target_retries=8, max_attempts=500)
     assert state.mu() == 1.0
     assert rewired  # both intra edges converted before the target was hit
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), communities=st.integers(1, 5), p=st.floats(0.05, 0.6),
+       steps=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+def test_wiring_state_intra_lists_follow_drops_and_adds(n, communities, p, steps, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(communities, size=n)
+    adjacency = [set() for _ in range(n)]
+    intra_edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+                if labels[u] == labels[v]:
+                    intra_edges.append((u, v))
+    state = _WiringState(labels=labels, adjacency=adjacency, intra_edges=list(intra_edges),
+                         edge_count=sum(map(len, adjacency)) // 2)
+
+    def expected(v):
+        return sorted(w for w in adjacency[v] if labels[w] == labels[v])
+
+    assert all(state.intra[v] == expected(v) for v in range(n))
+    for _ in range(steps):
+        if state.intra_edges and rng.random() < 0.6:
+            u, v = state.intra_edges[int(rng.integers(len(state.intra_edges)))]
+            state.drop_intra(*((u, v) if rng.random() < 0.5 else (v, u)))
+        else:
+            u, v = (int(x) for x in rng.integers(n, size=2))
+            if labels[u] != labels[v] and v not in adjacency[u]:
+                state.add_inter(u, v)
+        assert all(state.intra[v] == expected(v) for v in range(n))
+    assert sorted(state.intra_edges) == sorted(
+        (u, v) for u in range(n) for v in state.intra[u] if u < v)
 
 
 def test_bias_result_fields():

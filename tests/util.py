@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 
-from bridgeness import CentralityResult, Graph, LfrConfig, generate
+from bridgeness import CentralityResult, EdgeListError, Graph, LfrConfig, generate
 
 
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -40,6 +40,45 @@ def small_lfr_graph() -> Graph:
     config = LfrConfig(n=300, communities=8, mu=0.2, seed=3,
                        min_degree=6, max_degree=20, mean_degree=10)
     return generate(config).graph
+
+
+def reference_edge_list(lines, *, delimiter=None, skip_comments=True):
+    """Plain-Python edge-list parser, one dict lookup per token.
+
+    Returns ``(ids, edges, self_loops, duplicates)``: IDs in order of first
+    appearance, the sorted ``(lo, hi)`` index pairs of the kept edges, and
+    the two cleanup counts ``load_edge_list`` logs. Malformed lines raise
+    the same ``EdgeListError`` message.
+    """
+    ids: list[str] = []
+    index: dict[str, int] = {}
+    edges: set[tuple[int, int]] = set()
+    self_loops = duplicates = 0
+
+    def intern(token: str) -> int:
+        if token not in index:
+            index[token] = len(ids)
+            ids.append(token)
+        return index[token]
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or (skip_comments and line.startswith("#")):
+            continue
+        if delimiter is None:
+            tokens = line.split()
+        else:
+            tokens = [tok.strip() for tok in line.split(delimiter)]
+        if len(tokens) != 2:
+            raise EdgeListError(f"line {lineno}: expected 2 fields, got {len(tokens)}: {line!r}")
+        u, v = (intern(tok) for tok in tokens)
+        if u == v:
+            self_loops += 1
+        elif (min(u, v), max(u, v)) in edges:
+            duplicates += 1
+        else:
+            edges.add((min(u, v), max(u, v)))
+    return ids, sorted(edges), self_loops, duplicates
 
 
 def all_pairs_counts(graph: Graph):
