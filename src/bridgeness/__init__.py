@@ -43,11 +43,9 @@ from .indicator import (
     inter_community_fraction,
 )
 from .netgen import (
-    BridgeDegreeBias,
     GeneratedNetwork,
     GenerationError,
     LfrConfig,
-    bridge_degree_bias,
     generate,
 )
 
@@ -79,9 +77,7 @@ __all__ = [
     "LfrConfig",
     "GeneratedNetwork",
     "GenerationError",
-    "BridgeDegreeBias",
     "generate",
-    "bridge_degree_bias",
     "RankingCurve",
     "cumulative_ratio_curve",
     "smooth",

@@ -24,28 +24,38 @@ end), and all four come from one sweep.
 Block engine. B sources are swept at once, as one BFS over B disjoint copies
 of the graph held in n x B arrays (column k belongs to the k-th source):
 
-* forward, one level per step: ``A @ frontier`` with ``A`` the CSR matrix of
-  ones and ``frontier`` holding sigma on the current level and 0 elsewhere;
-* backward: the (node, source) cells of a level are expanded into their
-  incidences, and each predecessor v of w receives
-  ``sigma[v] / sigma[w] * (1 + delta[w])`` by ``np.add.at``.
+* forward, one level per step: the incidences of each frontier cell are
+  expanded once, those into unvisited cells are kept, and each kept
+  (pred, succ) pair adds sigma[pred] to sigma[succ] by ``np.add.at``. The
+  kept pairs are the shortest-path DAG edges from this level to the next,
+  and are recorded level by level;
+* backward: the recorded pairs are walked from the deepest level up, and
+  each pred receives ``sigma[pred] / sigma[succ] * (1 + delta[succ])`` by
+  ``np.add.at``. Nothing is expanded again and no distance is tested.
 
 Results are bit-identical to sweeping one source at a time, because every
-sum has the same terms in the same order: the sparse product adds a row's
-neighbors in increasing index order starting from 0 (terms off the frontier
-are exact zeros), the backward pass keeps the per-term expression and its
-increasing-successor order (a product ``sigma * (A @ ((1 + delta) / sigma))``
-would reassociate it), ``bc`` and ``l1`` take each source's terms in source
-order, and each ``p`` term is an ``np.add.reduceat`` over a segment that
-starts with 0.0, which groups its sum exactly as ``np.sum`` does.
+sum has the same terms in the same order. Pairs are recorded in increasing
+pred cell order, and within a cell in increasing neighbor order, so each
+sigma[succ] adds its predecessors in increasing node order starting from
+0.0, and each delta[pred] adds its terms in increasing successor order.
+The backward pass keeps the per-term expression (a product
+``sigma * (A @ ((1 + delta) / sigma))`` would reassociate it), ``bc`` and
+``l1`` take each source's terms in source order, and each ``p`` term is an
+``np.add.reduceat`` over a segment that starts with 0.0, which groups its
+sum exactly as ``np.sum`` does. Block width and piece size do not change
+any bit. Any non-finite sigma after the forward pass (counts beyond
+float64) raises ``OverflowError`` rather than yield a NaN.
 
-Memory per sweeping process is bounded beyond the graph and its sparse
-copy. The n x B arrays hold at most ``_CELL_BYTES`` = 48 bytes per cell at
-once, and B = _BUDGET // (48 n), clamped to [1, _CHUNK], keeps them within
-``_BUDGET`` = 1 MiB (48 n bytes once n > 10922 forces B = 1). Incidences
-are expanded in pieces of about ``_PIECE`` = 8192, at most 64 bytes each,
-so a piece holds at most 64 * (8192 + max degree) bytes: about 1.5 MiB in
-all for graphs up to 10922 nodes and degrees in the hundreds.
+Memory per sweeping process is bounded beyond the graph. A block holds at
+most ``_CELL_BYTES`` = 40 bytes per cell at once (distance, sigma, delta,
+and a level's cells in the worst case) and ``_PAIR_BYTES`` = 16 bytes per
+recorded pair, at most m pairs per source (all of them on bipartite
+graphs). B = _BUDGET // (40 n + 16 m), clamped to [1, _CHUNK] and evened
+out over a chunk, keeps both within ``_BUDGET`` = 8 MiB, until a single
+source needs more (40 n + 16 m bytes, B = 1). A table of 8 bytes per
+incidence maps each pred cell to its succ. Incidences are expanded in
+pieces of about ``_PIECE`` = 8192, at most 64 bytes each, so a piece holds
+at most 64 * (8192 + max degree) bytes.
 
 Sources are processed in fixed chunks of ``_CHUNK`` and chunk partials are
 reduced in chunk order, so results are identical for any worker count.
@@ -59,13 +69,13 @@ from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .graph import Graph, NodeTable
 
 _CHUNK = 64  # sources per reduction unit; fixed, worker-count independent
-_BUDGET = 1 << 20  # bytes for the n x B arrays of one block
-_CELL_BYTES = 48  # most bytes held at once per (node, source) cell
+_BUDGET = 1 << 23  # bytes for the n x B arrays and the recorded DAG of one block
+_CELL_BYTES = 40  # most bytes held at once per (node, source) cell
+_PAIR_BYTES = 16  # bytes per recorded DAG pair, at most m per source
 _PIECE = 1 << 13  # incidences per expansion piece, at most 64 bytes each
 
 PAIR_CONVENTION = "unordered"
@@ -89,9 +99,11 @@ class CentralityResult:
     convention: str = PAIR_CONVENTION
 
 
-def _block_width(n: int) -> int:
-    """Sources per block: as many as the budget holds, at most one chunk."""
-    return max(1, min(_CHUNK, _BUDGET // (_CELL_BYTES * n)))
+def _block_width(n: int, m: int) -> int:
+    """Sources per block: at most what the budget holds, in equal blocks per chunk."""
+    most = max(1, min(_CHUNK, _BUDGET // (_CELL_BYTES * n + _PAIR_BYTES * m)))
+    blocks = -(-_CHUNK // most)  # per full chunk
+    return -(-_CHUNK // blocks)  # equal widths: no narrow tail block
 
 
 def _ragged_arange(starts, counts):
@@ -113,49 +125,53 @@ def _pieces(counts):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _sweep_block(indptr, indices, adj, sources):
+def _sweep_block(indptr, indices, sources):
     """BFS distances, path counts and dependencies of ``sources`` (n x B).
 
     A cell is a (node, column) pair, flattened to node * B + column.
     """
-    n, width = adj.shape[0], len(sources)
+    n, width = len(indptr) - 1, len(sources)
+    degree = np.diff(indptr)
+    # incidence v -> w moves a cell by (w - v) * B: succ = pred + step
+    step = (indices - np.repeat(np.arange(n), degree)) * width
     dist = np.full(n * width, -1, dtype=np.int32)
     sigma = np.zeros(n * width)
     frontier = sources * width + np.arange(width)
     dist[frontier] = 0
     sigma[frontier] = 1.0
-    levels = []  # sorted cells at each distance
-    while len(frontier):
-        levels.append(frontier)
-        spread = np.zeros(n * width)
-        spread[frontier] = sigma[frontier]
-        reached = (adj @ spread.reshape(n, width)).ravel()
-        del spread
-        frontier = np.flatnonzero((reached != 0.0) & (dist < 0))
-        sigma[frontier] = reached[frontier]
-        dist[frontier] = len(levels)
-        del reached
+    dag = []  # per level d >= 1: the (pred, succ) cell pairs from level d-1 to d
+    with np.errstate(over="ignore"):  # an overflow raises below
+        while len(frontier):
+            nodes = frontier // width
+            counts = degree[nodes]
+            pairs = []
+            for part in _pieces(counts):
+                cells, v, cnt = frontier[part], nodes[part], counts[part]
+                pred = np.repeat(cells, cnt)
+                succ = pred + step[_ragged_arange(indptr[v], cnt)]
+                keep = np.flatnonzero(dist[succ] < 0)
+                pred, succ = pred[keep], succ[keep]
+                np.add.at(sigma, succ, sigma[pred])
+                pairs.append((pred, succ))
+            dag.append(pairs)
+            for _, succ in pairs:
+                dist[succ] = len(dag)
+            frontier = np.flatnonzero(dist == len(dag))
+    if not np.isfinite(sigma).all():
+        source = sources[np.flatnonzero(~np.isfinite(sigma))[0] % width]
+        raise OverflowError(f"shortest-path counts from node {source} overflow float64")
 
     delta = np.zeros(n * width)
-    degree = np.diff(indptr)
     # level-1 terms reach only the sources, whose delta is dropped anyway
-    for d in range(len(levels) - 1, 1, -1):
-        nodes = levels[d] // width
-        counts = degree[nodes]
-        for part in _pieces(counts):
-            cells, w, cnt = levels[d][part], nodes[part], counts[part]
-            succ = np.repeat(cells, cnt)
-            pred = indices[_ragged_arange(indptr[w], cnt)] * width
-            pred += np.repeat(cells - w * width, cnt)
-            keep = dist[pred] == d - 1
-            pred, succ = pred[keep], succ[keep]
+    for pairs in reversed(dag[1:]):
+        for pred, succ in pairs:
             np.add.at(delta, pred, sigma[pred] / sigma[succ] * (1.0 + delta[succ]))
     return dist.reshape(n, width), sigma.reshape(n, width), delta.reshape(n, width)
 
 
-def _accumulate_block(indptr, indices, adj, sources, bc, l1, p):
+def _accumulate_block(indptr, indices, sources, bc, l1, p):
     """Add the (bc, l1, p) terms of ``sources`` into the partials, in source order."""
-    dist, sigma, delta = _sweep_block(indptr, indices, adj, sources)
+    dist, sigma, delta = _sweep_block(indptr, indices, sources)
     for k in range(len(sources)):
         bc += delta[:, k]
     degree = np.diff(indptr)
@@ -178,22 +194,17 @@ def _accumulate_block(indptr, indices, adj, sources, bc, l1, p):
         np.add.at(p, j, np.add.reduceat(terms, starts))
 
 
-def _accumulate_chunk(indptr, indices, adj, lo, hi):
+def _accumulate_chunk(indptr, indices, lo, hi):
     """Sum per-source contributions to (bc, l1, p) over sources lo..hi-1 in order."""
-    n = adj.shape[0]
+    n = len(indptr) - 1
     bc = np.zeros(n)
     l1 = np.zeros(n)
     p = np.zeros(n)
-    width = _block_width(n)
+    width = _block_width(n, len(indices) // 2)
     for start in range(lo, hi, width):
         sources = np.arange(start, min(start + width, hi))
-        _accumulate_block(indptr, indices, adj, sources, bc, l1, p)
+        _accumulate_block(indptr, indices, sources, bc, l1, p)
     return bc, l1, p
-
-
-def _adjacency(indptr, indices):
-    n = len(indptr) - 1
-    return csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 _WORKER_GRAPH: tuple | None = None
@@ -201,7 +212,7 @@ _WORKER_GRAPH: tuple | None = None
 
 def _worker_init(indptr, indices):
     global _WORKER_GRAPH
-    _WORKER_GRAPH = (indptr, indices, _adjacency(indptr, indices))
+    _WORKER_GRAPH = (indptr, indices)
 
 
 def _worker_chunk(bounds):
@@ -229,15 +240,17 @@ def _brandes_accumulate(graph: Graph, workers: int = 1):
     bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     workers = min(workers, len(bounds))
     if workers <= 1:
-        adj = _adjacency(graph.indptr, graph.indices)
-        return _sum_partials(n, (_accumulate_chunk(graph.indptr, graph.indices, adj, lo, hi)
+        return _sum_partials(n, (_accumulate_chunk(graph.indptr, graph.indices, lo, hi)
                                  for lo, hi in bounds))
-    with ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_worker_init,
         initargs=(graph.indptr, graph.indices),
-    ) as pool:
+    )
+    try:
         return _sum_partials(n, pool.map(_worker_chunk, bounds))
+    finally:  # a failed chunk drops the chunks not yet started
+        pool.shutdown(cancel_futures=True)
 
 
 def _decompose(bc_o, l1, p):

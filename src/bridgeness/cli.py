@@ -383,10 +383,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise CliError(str(exc)) from exc
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .centrality import CentralityResult
 from .graph import Graph, NodeTable, Partition
@@ -86,6 +85,7 @@ def locterm_correlation(maps: Iterable[Mapping[int, float]]) -> tuple[float, flo
 
     Points from several runs may be pooled by passing multiple mappings.
     """
+    from scipy import stats  # here, so that importing the package loads no scipy
     xs: list[float] = []
     ys: list[float] = []
     for mapping in maps:

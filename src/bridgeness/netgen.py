@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy import stats
 
 from .graph import Graph, Partition
 
@@ -126,16 +125,6 @@ class GeneratedNetwork:
     achieved_mu: float
     rewired_nodes: frozenset[int]
     dropped_stubs: int
-
-
-@dataclass(frozen=True)
-class BridgeDegreeBias:
-    """Degree comparison between nodes picked for rewiring and all nodes."""
-
-    rewired_mean_degree: float
-    overall_mean_degree: float
-    ranksum_statistic: float
-    ranksum_pvalue: float
 
 
 def _sample_degrees(config: LfrConfig, rng: np.random.Generator) -> np.ndarray:
@@ -479,23 +468,4 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
         achieved_mu=achieved,
         rewired_nodes=rewired,
         dropped_stubs=dropped_stubs,
-    )
-
-
-def bridge_degree_bias(net: GeneratedNetwork) -> BridgeDegreeBias:
-    """Rank-sum comparison of rewired-node degrees against all degrees.
-
-    Degrees are measured on the final graph. A large two-sided p-value
-    means the rewired set is degree-indistinguishable from the population.
-    """
-    if not net.rewired_nodes:
-        raise ValueError("network has no rewired nodes to compare")
-    degrees = net.graph.degrees
-    picked = degrees[sorted(net.rewired_nodes)]
-    stat, pvalue = stats.ranksums(picked, degrees)
-    return BridgeDegreeBias(
-        rewired_mean_degree=float(picked.mean()),
-        overall_mean_degree=float(degrees.mean()),
-        ranksum_statistic=float(stat),
-        ranksum_pvalue=float(pvalue),
     )

@@ -12,7 +12,6 @@ from bridgeness import (
     LfrConfig,
     LouvainConfig,
     betweenness,
-    bridge_degree_bias,
     bridgeness_exact,
     cumulative_ratio_curve,
     curve_advantage,
@@ -24,7 +23,13 @@ from bridgeness import (
     modularity,
 )
 
-from util import best_label_agreement, bridgeness_bruteforce, er_graph, star_graph
+from util import (
+    best_label_agreement,
+    bridge_degree_bias,
+    bridgeness_bruteforce,
+    er_graph,
+    star_graph,
+)
 
 BENCH_SCALE = dict(n=1000, communities=30, mu=0.2)
 REFERENCE_EDGE_COUNT = 7539

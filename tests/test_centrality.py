@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -21,6 +22,7 @@ from util import (
     complete_graph,
     er_graph,
     grid_graph,
+    ladder_graph,
     path_graph,
     si_compat_oracle,
     small_lfr_graph,
@@ -188,6 +190,34 @@ def test_pool_starts_at_most_one_process_per_chunk(monkeypatch):
     assert started == [3]
     bridgeness_exact(er_graph(64, 0.1, rng), workers=8)  # one chunk: no pool
     assert started == [3]
+
+
+# 3**d overflows float64 past d = 646, so sources near either end overflow
+OVERFLOWING_LADDER = dict(layers=660, width=3)
+
+
+def test_overflowing_path_counts_raise():
+    ladder = ladder_graph(**OVERFLOWING_LADDER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exception is the only sign
+        with pytest.raises(OverflowError, match="from node 0 overflow float64"):
+            bridgeness_exact(ladder, workers=1)
+
+
+def test_failed_chunk_cancels_pending_chunks(monkeypatch):
+    futures = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(centrality, "ProcessPoolExecutor", RecordingPool)
+    ladder = ladder_graph(**OVERFLOWING_LADDER)
+    with pytest.raises(OverflowError):
+        bridgeness_exact(ladder, workers=2)
+    assert len(futures) == 31
+    assert any(future.cancelled() for future in futures)
 
 
 def test_bc_matches_networkx():

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,7 @@ import bridgeness
 from bridgeness.centrality import default_workers
 from bridgeness.cli import build_parser, main
 
-from util import bridgeness_bruteforce
+from util import bridgeness_bruteforce, ladder_graph
 
 
 def test_worker_env_override(monkeypatch):
@@ -134,6 +137,33 @@ def test_bruteforce_variant_is_gone(tmp_path):
 def test_public_names_resolve():
     for name in bridgeness.__all__:
         assert hasattr(bridgeness, name), name
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(bridgeness.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import bridgeness.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                            text=True).stdout
+    assert "'bridgeness.cli'" in loaded
+    assert "'scipy" not in loaded
+
+
+@pytest.mark.parametrize("command", ["centrality", "evaluate", "report"])
+def test_overflowing_path_counts_exit_1(tmp_path, capsys, command):
+    ladder = ladder_graph(660, 3)  # 3**d shortest paths overflow float64 past d = 646
+    edges = tmp_path / "ladder.edges"
+    edges.write_text("".join(f"{u} {v}\n" for u, v in ladder.edges.tolist()))
+    part = tmp_path / "ladder.csv"
+    part.write_text("".join(f"{v},{v // 990}\n" for v in range(ladder.node_count)))
+    out = tmp_path / "out"
+    argv = {
+        "centrality": ["--output", str(out)],
+        "evaluate": ["--partition", str(part), "--output-dir", str(out)],
+        "report": ["--partition", str(part), "--output", str(out)],
+    }[command]
+    assert main([command, "--input", str(edges), *argv, "--workers", "1"]) == 1
+    assert "error: shortest-path counts from node 0 overflow float64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_centrality_json_records(tmp_path):

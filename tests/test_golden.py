@@ -4,7 +4,10 @@ The SHA-256 digests below were recorded from the per-source Brandes engine
 that the block engine replaced. They pin the ordered accumulators ``bc``,
 ``l1`` and ``p`` bit for bit, and the ``centrality`` CSV bytes, so a change
 to the engine that reorders a floating-point sum fails here even when it
-stays within every tolerance of the oracle tests.
+stays within every tolerance of the oracle tests. The ``lfr1200`` digests
+were recorded from the block engine whose forward pass was a sparse
+matrix product, at 18 sources per block with a 10-wide tail block in each
+chunk. The same digests must come out at any block width and piece size.
 
 The generator digests were recorded from the rewiring phase that drew each
 degree-proportional target with ``rng.choice(n, p=degrees / degrees.sum())``.
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 from bridgeness import Graph, LfrConfig, LouvainConfig, generate, load_edge_list, louvain_passes
+from bridgeness import centrality
 from bridgeness.centrality import _brandes_accumulate
 from bridgeness.cli import main
 
@@ -36,6 +40,11 @@ GOLDEN = {
         "9d4cff5fba19589a7d0884ded598df41a91ce045742044c4401c7e689437fcf5",
         "925c8e256dfd45c2b971559e6c9a7f24d474ac5a9a380414102c759f4bbfca5e",
         "dc223263d7a82132e87904b6739e4fdd3a75c4599d1ef91033bb5e0de79e8274",
+    ),
+    "lfr1200": (
+        "369150c68d1cb8a3f79c5bd6a2f6b69173fa8f4ee45e71ca04caef82c1bb3d77",
+        "b3a3797241b2705610ff7d63dabde9cb2d13b46b2b63f7fe5e3cab34dd419d63",
+        "887231e0360f69ece11a5e3644fa92d514a17f45140ad87894589335286d8c96",
     ),
     "lfr300": (
         "0833b55612233aa53ea4488cab65d1be2472f3b1864211d03e997eafd4c37bf1",
@@ -141,6 +150,8 @@ def golden_graph(name: str) -> Graph:
         return grid_graph(30, np.random.default_rng(0))
     if name == "lfr300":
         return small_lfr_graph()
+    if name == "lfr1200":
+        return generate(LfrConfig(n=1200, communities=36, mu=0.2, seed=11)).graph
     if name == "star50":
         return star_graph(50)
     if name == "disconnected":  # a triangle, a 4-path and two isolated nodes
@@ -150,11 +161,30 @@ def golden_graph(name: str) -> Graph:
     return Graph.from_edges(0, [])
 
 
+def accumulator_digests(graph: Graph) -> tuple[str, ...]:
+    accumulators = _brandes_accumulate(graph, workers=1)
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in accumulators)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_accumulators_match_golden_digests(name):
-    accumulators = _brandes_accumulate(golden_graph(name), workers=1)
-    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in accumulators)
-    assert digests == GOLDEN[name]
+    assert accumulator_digests(golden_graph(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name, limits", [
+    pytest.param("grid30", {"_BUDGET": 0}, id="grid30-one-source-blocks"),
+    pytest.param("lfr300", {"_BUDGET": 0}, id="lfr300-one-source-blocks"),
+    # a few cells per piece; one cell per piece takes 20 s on the grid
+    pytest.param("grid30", {"_PIECE": 16}, id="grid30-16-incidence-pieces"),
+    pytest.param("lfr300", {"_PIECE": 1}, id="lfr300-one-cell-pieces"),
+])
+def test_block_width_and_piece_size_keep_the_bits(monkeypatch, name, limits):
+    for attr, value in limits.items():
+        monkeypatch.setattr(centrality, attr, value)
+    graph = golden_graph(name)
+    if "_BUDGET" in limits:
+        assert centrality._block_width(graph.node_count, graph.edge_count) == 1
+    assert accumulator_digests(graph) == GOLDEN[name]
 
 
 def network_digest(net) -> str:

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from bridgeness import CentralityResult, EdgeListError, Graph, LfrConfig, generate
+from bridgeness import CentralityResult, EdgeListError, GeneratedNetwork, Graph, LfrConfig, generate
 
 
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -33,6 +34,17 @@ def grid_graph(side: int, rng: np.random.Generator) -> Graph:
     edges = [(v, v + 1) for v in range(n) if (v + 1) % side]
     edges += [(v, v + side) for v in range(n - side)]
     return Graph.from_edges(n, [(int(label[u]), int(label[v])) for u, v in edges])
+
+
+def ladder_graph(layers: int, width: int) -> Graph:
+    """``layers`` layers of ``width`` nodes, each layer fully joined to the next.
+
+    Node v sits in layer v // width, so node 0 is at one end. A node in
+    layer d has width**d shortest paths from node 0.
+    """
+    edges = [(i * width + a, (i + 1) * width + b)
+             for i in range(layers - 1) for a in range(width) for b in range(width)]
+    return Graph.from_edges(layers * width, edges)
 
 
 def small_lfr_graph() -> Graph:
@@ -175,3 +187,34 @@ def best_label_agreement(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     np.add.at(conf, (labels_a, labels_b), 1)
     rows, cols = linear_sum_assignment(-conf)
     return float(conf[rows, cols].sum() / len(labels_a))
+
+
+@dataclass(frozen=True)
+class BridgeDegreeBias:
+    """Degree comparison between nodes picked for rewiring and all nodes."""
+
+    rewired_mean_degree: float
+    overall_mean_degree: float
+    ranksum_statistic: float
+    ranksum_pvalue: float
+
+
+def bridge_degree_bias(net: GeneratedNetwork) -> BridgeDegreeBias:
+    """Rank-sum comparison of rewired-node degrees against all degrees.
+
+    Degrees are measured on the final graph. A large two-sided p-value
+    means the rewired set is degree-indistinguishable from the population.
+    """
+    from scipy import stats
+
+    if not net.rewired_nodes:
+        raise ValueError("network has no rewired nodes to compare")
+    degrees = net.graph.degrees
+    picked = degrees[sorted(net.rewired_nodes)]
+    stat, pvalue = stats.ranksums(picked, degrees)
+    return BridgeDegreeBias(
+        rewired_mean_degree=float(picked.mean()),
+        overall_mean_degree=float(degrees.mean()),
+        ranksum_statistic=float(stat),
+        ranksum_pvalue=float(pvalue),
+    )
