@@ -40,7 +40,6 @@ from .indicator import (
     GlobalIndicatorResult,
     community_link_matrix,
     global_indicator,
-    inter_community_fraction,
 )
 from .netgen import (
     GeneratedNetwork,
@@ -68,7 +67,6 @@ __all__ = [
     "GlobalIndicatorResult",
     "community_link_matrix",
     "global_indicator",
-    "inter_community_fraction",
     "LouvainConfig",
     "LouvainRun",
     "modularity",

@@ -24,38 +24,39 @@ end), and all four come from one sweep.
 Block engine. B sources are swept at once, as one BFS over B disjoint copies
 of the graph held in n x B arrays (column k belongs to the k-th source):
 
-* forward, one level per step: the incidences of each frontier cell are
-  expanded once, those into unvisited cells are kept, and each kept
-  (pred, succ) pair adds sigma[pred] to sigma[succ] by ``np.add.at``. The
-  kept pairs are the shortest-path DAG edges from this level to the next,
-  and are recorded level by level;
+* forward, one level per step: the incidences from frontier cells into
+  unvisited cells are kept, found from the frontier (top-down) or from the
+  unvisited cells (bottom-up; Beamer, Asanovic and Patterson, SC'12). Each
+  kept (pred, succ) pair adds sigma[pred] to sigma[succ] by ``np.add.at``
+  and is recorded as a shortest-path DAG edge. From level 3 on, a level
+  goes bottom-up when the unvisited cells have at least ``_PIECE`` fewer
+  incidences than the frontier; levels 1 and 2 stay top-down, so the level-2
+  pairs ``p`` reads come grouped by pred. A bottom-up level's kept succ cells,
+  already sorted, are the next frontier: dist is not scanned;
 * backward: the recorded pairs are walked from the deepest level up, and
   each pred receives ``sigma[pred] / sigma[succ] * (1 + delta[succ])`` by
   ``np.add.at``. Nothing is expanded again and no distance is tested.
 
-Results are bit-identical to sweeping one source at a time, because every
-sum has the same terms in the same order. Pairs are recorded in increasing
-pred cell order, and within a cell in increasing neighbor order, so each
-sigma[succ] adds its predecessors in increasing node order starting from
-0.0, and each delta[pred] adds its terms in increasing successor order.
-The backward pass keeps the per-term expression (a product
-``sigma * (A @ ((1 + delta) / sigma))`` would reassociate it), ``bc`` and
-``l1`` take each source's terms in source order, and each ``p`` term is an
-``np.add.reduceat`` over a segment that starts with 0.0, which groups its
-sum exactly as ``np.sum`` does. Block width and piece size do not change
-any bit. Any non-finite sigma after the forward pass (counts beyond
-float64) raises ``OverflowError`` rather than yield a NaN.
+Results are bit-identical to sweeping one source at a time: every sum has
+the same terms in the same order. Top-down records pairs by pred cell,
+bottom-up by succ cell, both by neighbor within a cell, so each sigma[succ]
+adds its preds in increasing node order from 0.0 and each delta[pred] its
+terms in increasing successor order. The backward pass keeps the per-term
+expression (``sigma * (A @ ((1 + delta) / sigma))`` would reassociate it),
+``bc`` and ``l1`` take each source's terms in source order, and ``p`` sums
+each pred's level-2 terms after a 0.0 by ``np.add.reduceat``, which groups
+them as ``np.sum`` does. Block width, piece size and direction change no
+bit. A non-finite sigma after the forward pass raises ``OverflowError``.
 
 Memory per sweeping process is bounded beyond the graph. A block holds at
-most ``_CELL_BYTES`` = 40 bytes per cell at once (distance, sigma, delta,
-and a level's cells in the worst case) and ``_PAIR_BYTES`` = 16 bytes per
-recorded pair, at most m pairs per source (all of them on bipartite
-graphs). B = _BUDGET // (40 n + 16 m), clamped to [1, _CHUNK] and evened
-out over a chunk, keeps both within ``_BUDGET`` = 8 MiB, until a single
-source needs more (40 n + 16 m bytes, B = 1). A table of 8 bytes per
-incidence maps each pred cell to its succ. Incidences are expanded in
-pieces of about ``_PIECE`` = 8192, at most 64 bytes each, so a piece holds
-at most 64 * (8192 + max degree) bytes.
+most ``_CELL_BYTES`` = 48 bytes per cell (distance, sigma, then delta, and
+up to 32 for a level's cells, nodes, degrees and running sums) and
+``_PAIR_BYTES`` = 16 per recorded pair, at most m per source. B = _BUDGET
+// (48 n + 16 m), clamped to [1, _CHUNK] and evened out over a chunk, keeps
+both within ``_BUDGET`` = 8 MiB until one source needs more (B = 1). A
+table of 8 bytes per incidence maps each cell to its neighbors'. Pieces of
+about ``_PIECE`` = 8192 incidences, at most 64 bytes each, hold at most
+64 * (8192 + max degree) bytes.
 
 Sources are processed in fixed chunks of ``_CHUNK`` and chunk partials are
 reduced in chunk order, so results are identical for any worker count.
@@ -74,7 +75,7 @@ from .graph import Graph, NodeTable
 
 _CHUNK = 64  # sources per reduction unit; fixed, worker-count independent
 _BUDGET = 1 << 23  # bytes for the n x B arrays and the recorded DAG of one block
-_CELL_BYTES = 40  # most bytes held at once per (node, source) cell
+_CELL_BYTES = 48  # most bytes held at once per (node, source) cell
 _PAIR_BYTES = 16  # bytes per recorded DAG pair, at most m per source
 _PIECE = 1 << 13  # incidences per expansion piece, at most 64 bytes each
 
@@ -112,51 +113,70 @@ def _ragged_arange(starts, counts):
     return np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
 
 
-def _pieces(counts):
-    """Slices of consecutive items holding about ``_PIECE`` incidences each.
-
-    A piece exceeds ``_PIECE`` by less than the count of its first item.
-    """
-    if len(counts) == 0:
-        return []
-    ends = np.cumsum(counts)
+def _pieces(ends):
+    """Slices of consecutive items, by the running sums ``ends`` of their
+    incidence counts, each holding less than ``_PIECE`` + its first count."""
+    if len(ends) == 0 or ends[-1] <= _PIECE:
+        return [slice(None)] if len(ends) else []
     cuts = np.searchsorted(ends, np.arange(_PIECE, ends[-1], _PIECE), side="right")
-    bounds = [0, *cuts.tolist(), len(counts)]
+    bounds = [0, *cuts.tolist(), len(ends)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _sweep_block(indptr, indices, sources):
-    """BFS distances, path counts and dependencies of ``sources`` (n x B).
+def _bottom_up(left, reach):
+    """Expand the ``left`` incidences of the unvisited cells, not the frontier's."""
+    return left + _PIECE <= reach
 
-    A cell is a (node, column) pair, flattened to node * B + column.
+
+def _sweep_block(indptr, indices, sources):
+    """Path counts, dependencies (n x B) and level-1 and level-2 DAG pairs.
+
+    A cell is a (node, column) pair, flattened to node * B + column. Both
+    levels come in pieces of (pred, succ) pairs sorted by pred, then succ.
     """
     n, width = len(indptr) - 1, len(sources)
     degree = np.diff(indptr)
-    # incidence v -> w moves a cell by (w - v) * B: succ = pred + step
+    # incidence v -> w moves a cell by (w - v) * B: the far cell = near + step
     step = (indices - np.repeat(np.arange(n), degree)) * width
     dist = np.full(n * width, -1, dtype=np.int32)
     sigma = np.zeros(n * width)
     frontier = sources * width + np.arange(width)
     dist[frontier] = 0
     sigma[frontier] = 1.0
+    left = width * len(indices)  # incidences of the cells not yet reached
     dag = []  # per level d >= 1: the (pred, succ) cell pairs from level d-1 to d
     with np.errstate(over="ignore"):  # an overflow raises below
         while len(frontier):
-            nodes = frontier // width
+            d = len(dag) + 1
+            cells, nodes = frontier, frontier // width
             counts = degree[nodes]
-            pairs = []
-            for part in _pieces(counts):
-                cells, v, cnt = frontier[part], nodes[part], counts[part]
-                pred = np.repeat(cells, cnt)
-                succ = pred + step[_ragged_arange(indptr[v], cnt)]
-                keep = np.flatnonzero(dist[succ] < 0)
-                pred, succ = pred[keep], succ[keep]
+            total = np.cumsum(counts)
+            left -= total[-1]
+            bottom_up = d > 2 and _bottom_up(left, total[-1])  # p reads level 2 by pred
+            if bottom_up:  # the unvisited cells find their preds at dist d - 1
+                cells = np.flatnonzero(dist < 0)
+                nodes = cells // width
+                counts = degree[nodes]
+                total = np.cumsum(counts)
+            pairs, want = [], d - 1 if bottom_up else -1  # the far ends' dist
+            for part in _pieces(total):
+                cnt = counts[part]
+                near = np.repeat(cells[part], cnt)
+                far = near + step[_ragged_arange(indptr[nodes[part]], cnt)]
+                keep = np.flatnonzero(dist[far] == want)
+                pred, succ = (far[keep], near[keep]) if bottom_up else (near[keep], far[keep])
                 np.add.at(sigma, succ, sigma[pred])
                 pairs.append((pred, succ))
+            del cells, nodes, counts, total  # freed before the next frontier (_CELL_BYTES)
             dag.append(pairs)
-            for _, succ in pairs:
-                dist[succ] = len(dag)
-            frontier = np.flatnonzero(dist == len(dag))
+            if bottom_up:  # succ cells come sorted, and none spans two pieces
+                frontier = np.concatenate(
+                    [frontier[:0]] + [s[np.flatnonzero(np.diff(s, prepend=-1))] for _, s in pairs])
+                dist[frontier] = d
+            else:
+                for _, succ in pairs:
+                    dist[succ] = d
+                frontier = np.flatnonzero(dist == d)
     if not np.isfinite(sigma).all():
         source = sources[np.flatnonzero(~np.isfinite(sigma))[0] % width]
         raise OverflowError(f"shortest-path counts from node {source} overflow float64")
@@ -166,32 +186,24 @@ def _sweep_block(indptr, indices, sources):
     for pairs in reversed(dag[1:]):
         for pred, succ in pairs:
             np.add.at(delta, pred, sigma[pred] / sigma[succ] * (1.0 + delta[succ]))
-    return dist.reshape(n, width), sigma.reshape(n, width), delta.reshape(n, width)
+    return sigma, delta.reshape(n, width), dag[0], dag[1] if len(dag) > 1 else []
 
 
 def _accumulate_block(indptr, indices, sources, bc, l1, p):
     """Add the (bc, l1, p) terms of ``sources`` into the partials, in source order."""
-    dist, sigma, delta = _sweep_block(indptr, indices, sources)
-    for k in range(len(sources)):
+    width = len(sources)
+    sigma, delta, level1, level2 = _sweep_block(indptr, indices, sources)
+    for k in range(width):
         bc += delta[:, k]
-    degree = np.diff(indptr)
-    nbrs = indices[_ragged_arange(indptr[sources], degree[sources])]
-    col = np.repeat(np.arange(len(sources)), degree[sources])
-    np.add.at(l1, nbrs, delta[nbrs, col])
-    for part in _pieces(degree[nbrs]):
-        j, k = nbrs[part], col[part]
-        cnt = degree[j]
-        x = indices[_ragged_arange(indptr[j], cnt)]
-        kx = np.repeat(k, cnt)
-        pair = np.repeat(np.arange(len(j)), cnt)
-        keep = dist[x, kx] == 2
-        x, kx, pair = x[keep], kx[keep], pair[keep]
-        # segment q holds 0.0 and then pair q's terms in neighbor order
-        kept = np.bincount(pair, minlength=len(j))
-        starts = np.arange(len(j)) + np.cumsum(kept) - kept
-        terms = np.zeros(len(j) + len(x))
-        terms[np.arange(len(x)) + pair + 1] = 1.0 / sigma[x, kx]
-        np.add.at(p, j, np.add.reduceat(terms, starts))
+    for _, succ in level1:  # the sources' neighbors, in source order
+        np.add.at(l1, succ // width, delta.ravel()[succ])
+    for pred, succ in level2:  # segment q: 0.0, then the q-th pred's 1/sigma[succ]
+        new = np.diff(pred, prepend=-1) != 0
+        lead = np.flatnonzero(new)
+        terms = np.zeros(len(pred) + len(lead))
+        terms[np.arange(len(pred)) + np.cumsum(new)] = 1.0 / sigma[succ]
+        if len(lead):
+            np.add.at(p, pred[lead] // width, np.add.reduceat(terms, lead + np.arange(len(lead))))
 
 
 def _accumulate_chunk(indptr, indices, lo, hi):

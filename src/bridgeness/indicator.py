@@ -77,16 +77,6 @@ def global_indicator(graph: Graph, partition: Partition) -> GlobalIndicatorResul
     return GlobalIndicatorResult(g=g)
 
 
-def inter_community_fraction(graph: Graph, partition: Partition) -> float:
-    """Share of edges whose endpoints lie in different communities; 0 if no edges."""
-    _check_cover(graph, partition)
-    if graph.edge_count == 0:
-        return 0.0
-    cu = partition.labels[graph.edges[:, 0]]
-    cv = partition.labels[graph.edges[:, 1]]
-    return float((cu != cv).sum() / graph.edge_count)
-
-
 def write_indicator_csv(
     result: GlobalIndicatorResult,
     partition: Partition,

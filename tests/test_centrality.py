@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -19,6 +20,7 @@ from bridgeness.centrality import write_centrality_csv, centrality_records
 
 from util import (
     bridgeness_bruteforce,
+    complete_bipartite_graph,
     complete_graph,
     er_graph,
     grid_graph,
@@ -159,6 +161,41 @@ def test_decomposition_invariants_on_small_graphs(g):
     assert np.all(result.bridgeness >= 0.0)
     assert np.all(result.bridgeness <= result.si)
     assert np.all(result.si <= result.bc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=small_graphs())
+def test_level_direction_does_not_change_the_accumulators(g):
+    runs = []
+    for bottom_up in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(centrality, "_bottom_up", lambda left, reach, up=bottom_up: up)
+            runs.append(centrality._brandes_accumulate(g, workers=1))
+    for top_down, bottom_up in zip(*runs):  # bc, l1, p
+        assert np.array_equal(top_down, bottom_up)
+
+
+@pytest.mark.parametrize("direction", ["natural", "top-down", "bottom-up"])
+@pytest.mark.parametrize("name", ["lfr300", "grid30", "bipartite50x200"])
+def test_chunk_memory_stays_within_the_documented_bound(monkeypatch, name, direction):
+    graph = {"lfr300": small_lfr_graph,
+             "grid30": lambda: grid_graph(30, np.random.default_rng(0)),
+             "bipartite50x200": lambda: complete_bipartite_graph(50, 200)}[name]()
+    if direction != "natural":
+        monkeypatch.setattr(centrality, "_bottom_up", lambda left, reach: direction == "bottom-up")
+    n, m = graph.node_count, graph.edge_count
+    width = centrality._block_width(n, m)
+    # the block's cells and recorded pairs, the 8-byte step table per
+    # incidence, one expansion piece, and the chunk's three partial sums
+    bound = (width * (centrality._CELL_BYTES * n + centrality._PAIR_BYTES * m) + 16 * m
+             + 64 * (centrality._PIECE + int(graph.degrees.max())) + 3 * 8 * n)
+    tracemalloc.start()
+    try:
+        centrality._accumulate_chunk(graph.indptr, graph.indices, 0, min(centrality._CHUNK, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_worker_count_does_not_change_results():

@@ -7,7 +7,9 @@ to the engine that reorders a floating-point sum fails here even when it
 stays within every tolerance of the oracle tests. The ``lfr1200`` digests
 were recorded from the block engine whose forward pass was a sparse
 matrix product, at 18 sources per block with a 10-wide tail block in each
-chunk. The same digests must come out at any block width and piece size.
+chunk. The same digests must come out at any block width and piece size,
+and whichever direction, top-down or bottom-up, each BFS level is reached
+from.
 
 The generator digests were recorded from the rewiring phase that drew each
 degree-proportional target with ``rng.choice(n, p=degrees / degrees.sum())``.
@@ -171,20 +173,53 @@ def test_accumulators_match_golden_digests(name):
     assert accumulator_digests(golden_graph(name)) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name, limits", [
-    pytest.param("grid30", {"_BUDGET": 0}, id="grid30-one-source-blocks"),
-    pytest.param("lfr300", {"_BUDGET": 0}, id="lfr300-one-source-blocks"),
-    # a few cells per piece; one cell per piece takes 20 s on the grid
-    pytest.param("grid30", {"_PIECE": 16}, id="grid30-16-incidence-pieces"),
-    pytest.param("lfr300", {"_PIECE": 1}, id="lfr300-one-cell-pieces"),
+def force(monkeypatch, direction: str) -> None:
+    """Send every level the direction rule decides (level 3 on) ``direction``."""
+    if direction != "natural":
+        monkeypatch.setattr(centrality, "_bottom_up", lambda left, reach: direction == "bottom-up")
+
+
+@pytest.mark.parametrize("direction", ["top-down", "bottom-up"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_forced_direction_keeps_the_bits(monkeypatch, name, direction):
+    force(monkeypatch, direction)
+    assert accumulator_digests(golden_graph(name)) == GOLDEN[name]
+
+
+def limit_params(name, limits, base_id, directions=("natural", "top-down", "bottom-up")):
+    return [pytest.param(name, limits, d, id=base_id if d == "natural" else f"{base_id}-{d}")
+            for d in directions]
+
+
+@pytest.mark.parametrize("name, limits, direction", [
+    *limit_params("grid30", {"_BUDGET": 0}, "grid30-one-source-blocks"),
+    *limit_params("lfr300", {"_BUDGET": 0}, "lfr300-one-source-blocks"),
+    # a few cells per piece; one cell per piece takes 20 s on the grid, and
+    # a forced bottom-up grid sweep at 16 incidences per piece over 100 s
+    *limit_params("grid30", {"_PIECE": 16}, "grid30-16-incidence-pieces",
+                  ("natural", "top-down")),
+    *limit_params("lfr300", {"_PIECE": 1}, "lfr300-one-cell-pieces"),
 ])
-def test_block_width_and_piece_size_keep_the_bits(monkeypatch, name, limits):
+def test_block_width_and_piece_size_keep_the_bits(monkeypatch, name, limits, direction):
     for attr, value in limits.items():
         monkeypatch.setattr(centrality, attr, value)
+    force(monkeypatch, direction)
     graph = golden_graph(name)
     if "_BUDGET" in limits:
         assert centrality._block_width(graph.node_count, graph.edge_count) == 1
     assert accumulator_digests(graph) == GOLDEN[name]
+
+
+def test_natural_rule_takes_both_directions(monkeypatch):
+    taken = set()
+
+    def rule(left, reach, natural=centrality._bottom_up):
+        taken.add(natural(left, reach))
+        return natural(left, reach)
+
+    monkeypatch.setattr(centrality, "_bottom_up", rule)
+    assert accumulator_digests(golden_graph("lfr300")) == GOLDEN["lfr300"]
+    assert taken == {False, True}
 
 
 def network_digest(net) -> str:

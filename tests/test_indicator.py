@@ -8,11 +8,10 @@ from bridgeness import (
     Partition,
     community_link_matrix,
     global_indicator,
-    inter_community_fraction,
 )
 from bridgeness.indicator import write_indicator_csv
 
-from util import er_graph
+from util import er_graph, inter_community_fraction
 
 TRIANGLES = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
 TWO_COMMS = Partition(labels=np.array([0, 0, 0, 1, 1, 1]), community_count=2)

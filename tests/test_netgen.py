@@ -9,11 +9,10 @@ from bridgeness import (
     GenerationError,
     LfrConfig,
     generate,
-    inter_community_fraction,
 )
 from bridgeness.netgen import _rewire_to_mu, _StubSampler, _weighted_index, _WiringState
 
-from util import bridge_degree_bias
+from util import bridge_degree_bias, inter_community_fraction
 
 SMALL = dict(n=150, communities=4, mu=0.15, min_degree=6, max_degree=20, mean_degree=10.0)
 

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bridgeness import CentralityResult, EdgeListError, GeneratedNetwork, Graph, LfrConfig, generate
+from bridgeness import (
+    CentralityResult, EdgeListError, GeneratedNetwork, Graph, LfrConfig, Partition, generate,
+)
 
 
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -25,6 +27,11 @@ def star_graph(k: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    """Every one of nodes 0..a-1 joined to every one of nodes a..a+b-1."""
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def grid_graph(side: int, rng: np.random.Generator) -> Graph:
@@ -187,6 +194,17 @@ def best_label_agreement(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     np.add.at(conf, (labels_a, labels_b), 1)
     rows, cols = linear_sum_assignment(-conf)
     return float(conf[rows, cols].sum() / len(labels_a))
+
+
+def inter_community_fraction(graph: Graph, partition: Partition) -> float:
+    """Share of edges whose endpoints lie in different communities; 0 if no edges."""
+    if len(partition) != graph.node_count:
+        raise ValueError(f"partition covers {len(partition)} nodes, graph has {graph.node_count}")
+    if graph.edge_count == 0:
+        return 0.0
+    cu = partition.labels[graph.edges[:, 0]]
+    cv = partition.labels[graph.edges[:, 1]]
+    return float((cu != cv).sum() / graph.edge_count)
 
 
 @dataclass(frozen=True)
