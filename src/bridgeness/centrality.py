@@ -31,8 +31,8 @@ of the graph held in n x B arrays (column k belongs to the k-th source):
   and is recorded as a shortest-path DAG edge. From level 3 on, a level
   goes bottom-up when the unvisited cells have at least ``_PIECE`` fewer
   incidences than the frontier; levels 1 and 2 stay top-down, so the level-2
-  pairs ``p`` reads come grouped by pred. A bottom-up level's kept succ cells,
-  already sorted, are the next frontier: dist is not scanned;
+  pairs ``p`` reads come grouped by pred. Either way the next frontier is
+  the cells at distance d, in cell order;
 * backward: the recorded pairs are walked from the deepest level up, and
   each pred receives ``sigma[pred] / sigma[succ] * (1 + delta[succ])`` by
   ``np.add.at``. Nothing is expanded again and no distance is tested.
@@ -164,19 +164,15 @@ def _sweep_block(indptr, indices, sources):
                 near = np.repeat(cells[part], cnt)
                 far = near + step[_ragged_arange(indptr[nodes[part]], cnt)]
                 keep = np.flatnonzero(dist[far] == want)
-                pred, succ = (far[keep], near[keep]) if bottom_up else (near[keep], far[keep])
-                np.add.at(sigma, succ, sigma[pred])
-                pairs.append((pred, succ))
+                if len(keep):  # an empty piece is not recorded: each costs two arrays
+                    pred, succ = (far[keep], near[keep]) if bottom_up else (near[keep], far[keep])
+                    np.add.at(sigma, succ, sigma[pred])
+                    pairs.append((pred, succ))
             del cells, nodes, counts, total  # freed before the next frontier (_CELL_BYTES)
             dag.append(pairs)
-            if bottom_up:  # succ cells come sorted, and none spans two pieces
-                frontier = np.concatenate(
-                    [frontier[:0]] + [s[np.flatnonzero(np.diff(s, prepend=-1))] for _, s in pairs])
-                dist[frontier] = d
-            else:
-                for _, succ in pairs:
-                    dist[succ] = d
-                frontier = np.flatnonzero(dist == d)
+            for _, succ in pairs:
+                dist[succ] = d
+            frontier = np.flatnonzero(dist == d)
     if not np.isfinite(sigma).all():
         source = sources[np.flatnonzero(~np.isfinite(sigma))[0] % width]
         raise OverflowError(f"shortest-path counts from node {source} overflow float64")

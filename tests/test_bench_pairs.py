@@ -17,13 +17,13 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
         checkout.mkdir()
-        (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7, "end_to_end": [
             {"name": "pipeline_s", "better": "lower"},
             {"name": "score", "better": "higher"}]}))
     calls = []
 
     def fake_run(checkout, workload, seed, seconds):
-        calls.append((checkout.name, seed))
+        calls.append((checkout.name, seed, seconds))
         fast = checkout == change
         return {"failed": 0, "environment": {"nproc": 2}, "metrics": {
             "pipeline_s": {"value": seed + (1.0 if fast else 2.0)},
@@ -34,8 +34,9 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     for workload in ("a", "b"):
         assert bench_pairs.main([str(parent), str(change), "--workload", workload,
                                  "--seeds", "1-4", "--label", "t"]) == 0
-    assert calls[:4] == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    assert calls[:4] == [("parent", 1, 7), ("change", 1, 7), ("change", 2, 7), ("parent", 2, 7)]
     data = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert data["workloads"]["a"]["seconds"] == 7
     assert sorted(data["workloads"]) == ["a", "b"]
     pipeline = data["workloads"]["a"]["metrics"]["pipeline_s"]
     assert pipeline["change_better_pairs"] == "4/4"

@@ -29,9 +29,12 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    """Every one of nodes 0..a-1 joined to every one of nodes a..a+b-1."""
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+def complete_bipartite_graph(a: int, b: int, tail: int = 0) -> Graph:
+    """Every one of nodes 0..a-1 joined to every one of nodes a..a+b-1, and a
+    path of ``tail`` more nodes hanging off node a+b-1."""
+    edges = [(i, a + j) for i in range(a) for j in range(b)]
+    edges += [(v, v + 1) for v in range(a + b - 1, a + b + tail - 1)]
+    return Graph.from_edges(a + b + tail, edges)
 
 
 def grid_graph(side: int, rng: np.random.Generator) -> Graph:

@@ -2,14 +2,15 @@
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds 1-10 --label L
 
-For each seed, runs ``perfbench/run.py --workload W --seed S --seconds 20
+For each seed, runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, swapping which side goes first on every
-other seed, and parses the JSON object each run prints last. Per side and
-metric it records the median, the quartiles and every run's value; per
-metric, the pairs in which the change was better (direction from the
-change's ``BENCHMARK.json``); and each side's environment line and failed
-checks. The workload is written under its name into ``BENCH_<label>.json``
-in the current directory, so runs for several workloads share one file.
+other seed, and parses the JSON object each run prints last. T and the
+metric directions come from the change's ``BENCHMARK.json`` (``run_seconds``
+and ``end_to_end``). Per side and metric it records the median, the
+quartiles and every run's value; per metric, the pairs in which the change
+was better; and each side's environment line and failed checks. The
+workload is written under its name into ``BENCH_<label>.json`` in the
+current directory, so runs for several workloads share one file.
 """
 from __future__ import annotations
 
@@ -56,18 +57,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("--seeds needs at least two seeds for quartiles")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i, seed in enumerate(args.seeds):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            runs[side].append(run(checkouts[side], args.workload, seed, args.seconds))
+            runs[side].append(run(checkouts[side], args.workload, seed, seconds))
             metrics = runs[side][-1]["metrics"]
             print(f"seed {seed} {side}: " + ", ".join(
                 f"{name} {m['value']:.4g}" for name, m in metrics.items()), flush=True)
@@ -77,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "order": "parent first on even-indexed seeds, change first on the others",
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "environment": {side: runs[side][0]["environment"] for side in SIDES},
