@@ -35,12 +35,7 @@ from .graph import (
     write_edge_list,
     write_partition,
 )
-from .indicator import (
-    CommunityLinkMatrix,
-    GlobalIndicatorResult,
-    community_link_matrix,
-    global_indicator,
-)
+from .indicator import GlobalIndicatorResult, global_indicator
 from .netgen import (
     GeneratedNetwork,
     GenerationError,
@@ -63,9 +58,7 @@ __all__ = [
     "betweenness",
     "bridgeness_exact",
     "locterm_by_degree",
-    "CommunityLinkMatrix",
     "GlobalIndicatorResult",
-    "community_link_matrix",
     "global_indicator",
     "LouvainConfig",
     "LouvainRun",

@@ -260,12 +260,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "locterm_pearson_r": None,
         "locterm_pearson_p": None,
     }
-    if len(locterm) >= 3:
-        r, p = locterm_correlation([locterm])
-        metrics["locterm_pearson_r"] = r
-        metrics["locterm_pearson_p"] = p
+    try:  # null below three degrees or for constant ratios, where r is undefined
+        metrics["locterm_pearson_r"], metrics["locterm_pearson_p"] = locterm_correlation([locterm])
+    except ValueError:
+        pass
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
+        json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _write_provenance(out_dir / "provenance.json", "evaluate", args, inputs)
     print(f"curve_advantage(bridgeness, bc): {advantage:.6g}")

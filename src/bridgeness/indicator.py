@@ -16,13 +16,6 @@ from .graph import Graph, NodeTable, Partition
 
 
 @dataclass(frozen=True)
-class CommunityLinkMatrix:
-    """Symmetric C x C inter-community link counts; internal counts on the diagonal."""
-
-    counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class GlobalIndicatorResult:
     """Per-node G scores; zero exactly for nodes with no inter-community edge."""
 
@@ -36,8 +29,8 @@ def _check_cover(graph: Graph, partition: Partition) -> None:
         )
 
 
-def community_link_matrix(graph: Graph, partition: Partition) -> CommunityLinkMatrix:
-    """Count edges within and between communities."""
+def community_link_matrix(graph: Graph, partition: Partition) -> np.ndarray:
+    """Symmetric C x C inter-community link counts; internal counts on the diagonal."""
     _check_cover(graph, partition)
     c = partition.community_count
     counts = np.zeros((c, c), dtype=np.int64)
@@ -48,7 +41,7 @@ def community_link_matrix(graph: Graph, partition: Partition) -> CommunityLinkMa
         np.add.at(counts, (cu[same], cv[same]), 1)
         np.add.at(counts, (cu[~same], cv[~same]), 1)
         np.add.at(counts, (cv[~same], cu[~same]), 1)
-    return CommunityLinkMatrix(counts=counts)
+    return counts
 
 
 def global_indicator(graph: Graph, partition: Partition) -> GlobalIndicatorResult:
@@ -60,7 +53,7 @@ def global_indicator(graph: Graph, partition: Partition) -> GlobalIndicatorResul
     _check_cover(graph, partition)
     n = graph.node_count
     c = partition.community_count
-    matrix = community_link_matrix(graph, partition).counts
+    matrix = community_link_matrix(graph, partition)
     touches = np.zeros((n, c), dtype=bool)
     if graph.edge_count:
         eu = graph.edges[:, 0]

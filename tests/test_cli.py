@@ -139,13 +139,49 @@ def test_public_names_resolve():
         assert hasattr(bridgeness, name), name
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
+    # two triangles joined by the path c-x-y-d, with leaves: degrees 2, 4 and 5 keep
+    # bc > 0 and their local ratios differ, so evaluate runs the correlation
+    edges = tmp_path / "g.edges"
+    edges.write_text("a b\nb c\nc a\nd e\ne f\nf d\nc x\nx y\ny d\ng c\nh d\ni d\n")
+    part = tmp_path / "p.csv"
+    part.write_text("a,0\nb,0\nc,0\ng,0\nx,0\nd,1\ne,1\nf,1\nh,1\ni,1\ny,1\n")
+    out = tmp_path / "eval"
     src = str(Path(bridgeness.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import bridgeness.cli; print(sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                            text=True).stdout
-    assert "'bridgeness.cli'" in loaded
-    assert "'scipy" not in loaded
+    code = (f"import sys; sys.path.insert(0, {src!r}); import bridgeness.cli; "
+            f"print(sorted(sys.modules)); "
+            f"bridgeness.cli.main(['evaluate', '--input', {str(edges)!r}, '--partition', "
+            f"{str(part)!r}, '--output-dir', {str(out)!r}, '--workers', '1']); "
+            f"print(sorted(sys.modules))")
+    lines = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    after_import, after_evaluate = lines[0], lines[-1]
+    assert "'bridgeness.cli'" in after_import
+    assert json.loads((out / "metrics.json").read_text())["locterm_pearson_r"] is not None
+    for loaded in (after_import, after_evaluate):
+        assert "'scipy" not in loaded
+
+
+def test_evaluate_writes_null_correlation_for_constant_local_ratios(tmp_path):
+    # hub 0 on the ring 1..11 with three chords: diameter 2, so every node with
+    # bc > 0 carries only local pairs and every mean local ratio is exactly 1
+    ring = [(0, v) for v in range(1, 12)] + [(v, v % 11 + 1) for v in range(1, 12)]
+    edges = tmp_path / "hub.edges"
+    edges.write_text("".join(f"{u} {v}\n" for u, v in ring + [(1, 5), (1, 7), (2, 8)]))
+    part = tmp_path / "hub.csv"
+    part.write_text("".join(f"{v},{v % 2}\n" for v in range(12)))
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--input", str(edges), "--partition", str(part),
+                 "--output-dir", str(out), "--workers", "1"]) == 0
+    ratios = (out / "locterm_by_degree.csv").read_text().splitlines()[1:]
+    assert len(ratios) >= 3 and {row.split(",")[1] for row in ratios} == {"1"}
+
+    def reject(token):
+        raise ValueError(f"metrics.json is not strict JSON: {token}")
+
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+    assert metrics["locterm_pearson_r"] is None
+    assert metrics["locterm_pearson_p"] is None
 
 
 @pytest.mark.parametrize("command", ["centrality", "evaluate", "report"])

@@ -1,7 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from bridgeness import (
     Graph,
@@ -115,6 +119,83 @@ def test_locterm_correlation_pools_maps():
 def test_locterm_correlation_needs_points():
     with pytest.raises(ValueError):
         locterm_correlation([{3: 1.0, 4: 0.5}])
+
+
+def scipy_pearson(maps):
+    xs = [float(k) for m in maps for k in sorted(m)]
+    ys = [float(m[k]) for m in maps for k in sorted(m)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on nearly constant input
+        result = stats.pearsonr(xs, ys)
+    return float(result.statistic), float(result.pvalue)
+
+
+def assert_matches_scipy(maps):
+    r, p = locterm_correlation(maps)
+    want_r, want_p = scipy_pearson(maps)
+    assert r == want_r  # bit for bit
+    if want_p > 1e-300:
+        assert abs(p - want_p) <= 1e-12 * want_p
+    else:
+        assert p <= 1e-290
+
+
+def _near_line(draw):
+    # ratios on a line in the degree, plus noise from none to dominant: r near +-1 and between
+    degrees = draw(st.lists(st.integers(1, 400), min_size=3, max_size=120, unique=True))
+    slope = draw(st.sampled_from([-1e-3, -1.0, 2.5e-4, 1.0]))
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+    jitter = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(degrees), max_size=len(degrees)))
+    return [{k: 0.5 + slope * k + noise * e for k, e in zip(degrees, jitter)}]
+
+
+pooled_maps = st.lists(
+    st.dictionaries(st.integers(1, 200), st.floats(0.0, 1.0), min_size=1, max_size=40),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(maps=st.one_of(pooled_maps, st.composite(_near_line)()))
+def test_locterm_correlation_matches_scipy(maps):
+    points = [(k, m[k]) for m in maps for k in m]
+    degrees, ratios = zip(*points)
+    if len(points) < 3 or len(set(degrees)) == 1 or len(set(ratios)) == 1:
+        with pytest.raises(ValueError):
+            locterm_correlation(maps)
+    else:
+        assert_matches_scipy(maps)
+
+
+@pytest.mark.parametrize("maps", [
+    [{1: 0.2, 2: 0.9, 3: 0.4}],  # n = 3, a = 1/2
+    [{1: 0.0, 2: 1.0, 3: 0.0}],  # r within 1e-17 of 0
+    [{1: 0.0, 2: 1.0, 3: 1.0, 4: 0.0}],  # r = 0
+    [{1: 0.0, 2: 1.0, 3: 0.0, 4: 1.0, 5: 0.0}],
+    [{5: 1.0, 10: 0.8, 20: 0.4, 40: 0.1}],
+    [{5: 0.9, 10: 0.7}, {20: 0.5, 30: 0.2}],
+    [{k: 0.25 * k for k in range(1, 60)}],  # r = 1
+    [{k: 1.0 - 1e-3 * k for k in range(1, 9)}],  # r = -1
+])
+def test_locterm_correlation_fixed_cases_match_scipy(maps):
+    assert_matches_scipy(maps)
+
+
+def test_locterm_correlation_ends_of_the_range():
+    assert locterm_correlation([{1: 0.0, 2: 1.0, 3: 1.0, 4: 0.0}]) == (0.0, 1.0)
+    assert locterm_correlation([{1: 0.0, 2: 1.0, 3: 0.0}])[1] == pytest.approx(1.0, rel=1e-15)
+    r, p = locterm_correlation([{k: 0.25 * k for k in range(1, 60)}])
+    assert (abs(r), p) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("maps", [
+    [{3: 1.0, 4: 1.0, 11: 1.0}],  # constant ratios
+    [{3: 0.5}, {3: 0.7}, {3: 0.2}],  # one degree pooled
+    [{3: 0.5, 4: float("nan"), 5: 0.1}],
+    [{3: 0.5, 4: float("inf"), 5: 0.1}],
+])
+def test_locterm_correlation_rejects_undefined_input(maps):
+    with pytest.raises(ValueError):
+        locterm_correlation(maps)
 
 
 def _report_fixture():

@@ -3,13 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from bridgeness import (
-    Graph,
-    Partition,
-    community_link_matrix,
-    global_indicator,
-)
-from bridgeness.indicator import write_indicator_csv
+from bridgeness import Graph, Partition, global_indicator
+from bridgeness.indicator import community_link_matrix, write_indicator_csv
 
 from util import er_graph, inter_community_fraction
 
@@ -24,15 +19,15 @@ def random_partition(n, c, rng):
 
 def test_link_matrix_two_triangles_bridge():
     m = community_link_matrix(TRIANGLES, TWO_COMMS)
-    assert m.counts[0, 0] == 3
-    assert m.counts[1, 1] == 3
-    assert m.counts[0, 1] == m.counts[1, 0] == 1
+    assert m[0, 0] == 3
+    assert m[1, 1] == 3
+    assert m[0, 1] == m[1, 0] == 1
 
 
 def test_link_matrix_single_community():
     p = Partition(labels=np.zeros(6, dtype=np.int64), community_count=1)
     m = community_link_matrix(TRIANGLES, p)
-    assert m.counts[0, 0] == TRIANGLES.edge_count
+    assert m[0, 0] == TRIANGLES.edge_count
 
 
 def test_link_matrix_mass_conservation():
@@ -40,7 +35,7 @@ def test_link_matrix_mass_conservation():
     for _ in range(10):
         g = er_graph(30, 0.2, rng)
         p = random_partition(30, 4, rng)
-        counts = community_link_matrix(g, p).counts
+        counts = community_link_matrix(g, p)
         assert np.array_equal(counts, counts.T)
         assert np.triu(counts).sum() == g.edge_count
 
