@@ -27,7 +27,7 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
         fast = checkout == change
         return {"failed": 0, "environment": {"nproc": 2}, "metrics": {
             "pipeline_s": {"value": seed + (1.0 if fast else 2.0)},
-            "score": {"value": 1.0}}}
+            "score": {"value": 1.0}}, "raw": {"wall_s": 0.5 * seed, "kernel_s": 0.05}}
 
     monkeypatch.setattr(bench_pairs, "run", fake_run)
     monkeypatch.chdir(tmp_path)
@@ -43,3 +43,12 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     assert pipeline["parent"]["runs"] == [3.0, 4.0, 5.0, 6.0]
     assert pipeline["parent"]["median"] == 4.5
     assert data["workloads"]["a"]["metrics"]["score"]["change_better_pairs"] == "0/4"
+    raw = data["workloads"]["a"]["raw_per_pass"]["change"]
+    assert raw["wall_s"]["runs"] == [0.5, 1.0, 1.5, 2.0]
+    assert raw["kernel_s"]["median"] == 0.05
+
+
+def test_raw_medians_read_the_passes_line():
+    line = ("passes: 3, of which traced 0; wall seconds per pass 1.300, 1.200, 1.250; "
+            "calibration kernel seconds 0.0522, 0.0530, 0.0510")
+    assert bench_pairs.raw_medians(line) == {"wall_s": 1.25, "kernel_s": 0.0522}

@@ -8,7 +8,10 @@ other seed, and parses the JSON object each run prints last. T and the
 metric directions come from the change's ``BENCHMARK.json`` (``run_seconds``
 and ``end_to_end``). Per side and metric it records the median, the
 quartiles and every run's value; per metric, the pairs in which the change
-was better; and each side's environment line and failed checks. The
+was better; and each side's environment line and failed checks. Under
+``raw_per_pass`` it summarises each run's median unscaled wall seconds and
+calibration-kernel seconds per pass, from which the scaled ``pipeline_s``
+is formed. The
 workload is written under its name into ``BENCH_<label>.json`` in the
 current directory, so runs for several workloads share one file.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -37,7 +41,16 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     env = [line for line in lines if line.startswith("environment ")]
     result["environment"] = json.loads(env[0].split(" ", 1)[1]) if env else None
+    passes = next(line for line in lines if line.startswith("passes: "))
+    result["raw"] = raw_medians(passes)
     return result
+
+
+def raw_medians(passes_line: str) -> dict:
+    """Median unscaled wall and calibration-kernel seconds per pass of one run."""
+    _, wall, kernel = passes_line.split("; ")
+    return {name: statistics.median(float(v) for v in re.findall(r"\d+\.\d+", text))
+            for name, text in (("wall_s", wall), ("kernel_s", kernel))}
 
 
 def seed_range(text: str) -> list[int]:
@@ -83,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "environment": {side: runs[side][0]["environment"] for side in SIDES},
         "metrics": {},
+        "raw_per_pass": {side: {name: summary([r["raw"][name] for r in runs[side]])
+                                for name in ("wall_s", "kernel_s")} for side in SIDES},
     }
     for name, direction in better.items():
         pairs = list(zip(values("parent", name), values("change", name)))
