@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .centrality import (
     CentralityResult,
-    betweenness,
     bridgeness_exact,
     locterm_by_degree,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "write_edge_list",
     "write_partition",
     "CentralityResult",
-    "betweenness",
     "bridgeness_exact",
     "locterm_by_degree",
     "GlobalIndicatorResult",

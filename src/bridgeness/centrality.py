@@ -275,11 +275,6 @@ def _decompose(bc_o, l1, p):
     return bc_o / 2.0, bri_o / 2.0, local_o / 2.0, si_o / 2.0
 
 
-def betweenness(graph: Graph, *, workers: int = 1) -> np.ndarray:
-    """Unnormalized betweenness centrality (unordered pairs, BFS paths)."""
-    return bridgeness_exact(graph, workers=workers).bc
-
-
 def bridgeness_exact(graph: Graph, *, workers: int = 1) -> CentralityResult:
     """Betweenness split into bridgeness and local terms, plus ``si``.
 

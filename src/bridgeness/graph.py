@@ -166,12 +166,6 @@ class Partition:
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
-    def community_of(self, v: int) -> int:
-        return int(self.labels[v])
-
-    def members(self, community: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == community)
-
 
 def load_edge_list(
     stream: IO[str] | Iterable[str],

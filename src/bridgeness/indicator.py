@@ -1,9 +1,16 @@
-"""Community-based global bridging indicator and inter-community link stats.
+"""Community-based global bridging indicator.
 
 Given a partition, the indicator G(i) sums, over every foreign community J
 that node i touches with at least one edge, the inverse of the total number
 of links between i's community and J. Nodes with only intra-community links
 get G = 0; the sole link between two communities scores a full 1.0.
+
+Memory is O(n + m) plus one dense scratch block of ``_SCRATCH`` bytes (or
+one row of C floats, if that is larger): the link counts and the touched
+(node, foreign community) pairs are kept as sorted int64 keys. The block
+exists because numpy's row ``sum`` adds a row's terms pairwise by column
+position, so each row's terms are written at their columns and summed there
+to give the same bits as a sum over a dense n x C row.
 """
 from __future__ import annotations
 
@@ -22,26 +29,7 @@ class GlobalIndicatorResult:
     g: np.ndarray
 
 
-def _check_cover(graph: Graph, partition: Partition) -> None:
-    if len(partition) != graph.node_count:
-        raise ValueError(
-            f"partition covers {len(partition)} nodes, graph has {graph.node_count}"
-        )
-
-
-def community_link_matrix(graph: Graph, partition: Partition) -> np.ndarray:
-    """Symmetric C x C inter-community link counts; internal counts on the diagonal."""
-    _check_cover(graph, partition)
-    c = partition.community_count
-    counts = np.zeros((c, c), dtype=np.int64)
-    if graph.edge_count:
-        cu = partition.labels[graph.edges[:, 0]]
-        cv = partition.labels[graph.edges[:, 1]]
-        same = cu == cv
-        np.add.at(counts, (cu[same], cv[same]), 1)
-        np.add.at(counts, (cu[~same], cv[~same]), 1)
-        np.add.at(counts, (cv[~same], cu[~same]), 1)
-    return counts
+_SCRATCH = 1 << 20  # bytes of the dense block G's rows are summed in
 
 
 def global_indicator(graph: Graph, partition: Partition) -> GlobalIndicatorResult:
@@ -50,23 +38,31 @@ def global_indicator(graph: Graph, partition: Partition) -> GlobalIndicatorResul
     Touching is binary: multiple links from i to the same community count
     once. Link counts are unweighted edge counts.
     """
-    _check_cover(graph, partition)
     n = graph.node_count
-    c = partition.community_count
-    matrix = community_link_matrix(graph, partition)
-    touches = np.zeros((n, c), dtype=bool)
-    if graph.edge_count:
-        eu = graph.edges[:, 0]
-        ev = graph.edges[:, 1]
-        cu = partition.labels[eu]
-        cv = partition.labels[ev]
-        inter = cu != cv
-        touches[eu[inter], cv[inter]] = True
-        touches[ev[inter], cu[inter]] = True
-    inv = np.zeros_like(matrix, dtype=np.float64)
-    np.divide(1.0, matrix, out=inv, where=matrix > 0)
-    np.fill_diagonal(inv, 0.0)  # own community never contributes
-    g = (touches * inv[partition.labels]).sum(axis=1)
+    c = int(partition.community_count)
+    if len(partition) != n:
+        raise ValueError(f"partition covers {len(partition)} nodes, graph has {n}")
+    if max(n, c) * c >= 2**63:
+        raise ValueError(f"{c} communities too many: keys need max(n, C) * C < 2**63")
+    ends = graph.edges
+    comms = partition.labels[ends]
+    inter = comms[:, 0] != comms[:, 1]
+    node = ends[inter].ravel()  # every inter-community edge, from both ends
+    own = comms[inter].ravel()
+    foreign = comms[inter][:, ::-1].ravel()
+    links, counts = np.unique(own * c + foreign, return_counts=True)
+    rows, cols = np.divmod(np.unique(node * c + foreign), c)
+    values = 1.0 / counts[np.searchsorted(links, partition.labels[rows] * c + cols)]
+    g = np.zeros(n)
+    step = max(1, _SCRATCH // (8 * max(c, 1)))
+    block = np.zeros((min(step, n), c))
+    # pairs are sorted by node, so each block of rows takes one slice of them
+    bounds = np.searchsorted(rows, np.arange(0, n + step, step))
+    for lo, a, b in zip(range(0, n, step), bounds[:-1], bounds[1:]):
+        at = (rows[a:b] - lo, cols[a:b])
+        block[at] = values[a:b]
+        g[lo:lo + step] = block[:min(step, n - lo)].sum(axis=1)
+        block[at] = 0.0
     return GlobalIndicatorResult(g=g)
 
 

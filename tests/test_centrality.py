@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bridgeness import (
     Graph,
-    betweenness,
     bridgeness_exact,
     locterm_by_degree,
 )
@@ -37,23 +36,23 @@ TRIANGLE_BRIDGE = Graph.from_edges(
 
 
 def test_betweenness_path():
-    assert list(betweenness(path_graph(3))) == [0.0, 1.0, 0.0]
+    assert list(bridgeness_exact(path_graph(3)).bc) == [0.0, 1.0, 0.0]
 
 
 def test_betweenness_star_is_pair_count():
-    assert betweenness(star_graph(6))[0] == 15.0
+    assert bridgeness_exact(star_graph(6)).bc[0] == 15.0
 
 
 def test_betweenness_four_cycle():
     cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     expected = bridgeness_bruteforce(cycle).bc  # brute-force pair enumeration
     assert np.allclose(expected, 0.5)
-    assert np.allclose(betweenness(cycle), expected)
+    assert np.allclose(bridgeness_exact(cycle).bc, expected)
 
 
 def test_betweenness_empty_and_single():
-    assert betweenness(Graph.from_edges(0, [])).shape == (0,)
-    assert list(betweenness(Graph.from_edges(1, []))) == [0.0]
+    assert bridgeness_exact(Graph.from_edges(0, [])).bc.shape == (0,)
+    assert list(bridgeness_exact(Graph.from_edges(1, [])).bc) == [0.0]
 
 
 def test_bridgeness_star_center_zero():
@@ -118,7 +117,7 @@ def test_oracle_equivalence_random_graphs():
         scale = np.maximum(np.abs(brute.bc), 1.0)
         assert np.all(np.abs(result.bc - brute.bc) / scale < 1e-9)
         assert np.all(np.abs(result.bridgeness - brute.bridgeness) / scale < 1e-9)
-        assert np.all(np.abs(betweenness(g) - brute.bc) / scale < 1e-9)
+        assert np.all(np.abs(bridgeness_exact(g).bc - brute.bc) / scale < 1e-9)
 
 
 def test_decomposition_and_ordering_invariants():
@@ -272,7 +271,7 @@ def test_bc_matches_networkx():
         expected = nx.betweenness_centrality(reference, normalized=False)
         expected = np.array([expected[v] for v in range(g.node_count)])
         scale = np.maximum(np.abs(expected), 1.0)
-        assert np.all(np.abs(betweenness(g) - expected) / scale < 1e-9)
+        assert np.all(np.abs(bridgeness_exact(g).bc - expected) / scale < 1e-9)
 
 
 def test_repeated_runs_bit_identical():

@@ -11,7 +11,7 @@ import bridgeness
 from bridgeness.centrality import default_workers
 from bridgeness.cli import build_parser, main
 
-from util import bridgeness_bruteforce, ladder_graph
+from util import bridgeness_bruteforce, dense_indicator, ladder_graph, small_lfr_graph
 
 
 def test_worker_env_override(monkeypatch):
@@ -443,3 +443,24 @@ def test_indicator_command_comma_delimited(tmp_path):
             for line in out.read_text().splitlines()[1:]}
     assert rows["c"] == 1.0
     assert rows["a"] == 0.0
+
+
+def test_indicator_command_with_every_node_its_own_community(tmp_path):
+    graph = small_lfr_graph()
+    table = bridgeness.NodeTable.identity(graph.node_count)
+    edges = tmp_path / "g.edges"
+    with edges.open("w") as fh:
+        bridgeness.write_edge_list(graph, table, fh)
+    part = tmp_path / "p.csv"
+    part.write_text("".join(f"{v},c{v}\n" for v in range(graph.node_count)))
+    out = tmp_path / "g.csv"
+    assert main(["indicator", "--input", str(edges), "--partition", str(part),
+                 "--output", str(out)]) == 0
+    with edges.open() as fh:
+        loaded, loaded_table = bridgeness.load_edge_list(fh)
+    with part.open() as fh:
+        partition = bridgeness.load_partition(fh, loaded_table)
+    assert partition.community_count == graph.node_count
+    expected = dense_indicator(loaded, partition)
+    assert out.read_text().splitlines()[1:] == [
+        f"{loaded_table.id_of(v)},{v},{expected[v]:.12g}" for v in range(loaded.node_count)]

@@ -1,12 +1,15 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bridgeness import Graph, Partition, global_indicator
-from bridgeness.indicator import community_link_matrix, write_indicator_csv
+from bridgeness import Graph, Partition, global_indicator, indicator
+from bridgeness.indicator import write_indicator_csv
 
-from util import er_graph, inter_community_fraction
+from util import dense_indicator, dense_link_matrix, er_graph, inter_community_fraction
 
 TRIANGLES = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
 TWO_COMMS = Partition(labels=np.array([0, 0, 0, 1, 1, 1]), community_count=2)
@@ -18,7 +21,7 @@ def random_partition(n, c, rng):
 
 
 def test_link_matrix_two_triangles_bridge():
-    m = community_link_matrix(TRIANGLES, TWO_COMMS)
+    m = dense_link_matrix(TRIANGLES, TWO_COMMS)
     assert m[0, 0] == 3
     assert m[1, 1] == 3
     assert m[0, 1] == m[1, 0] == 1
@@ -26,7 +29,7 @@ def test_link_matrix_two_triangles_bridge():
 
 def test_link_matrix_single_community():
     p = Partition(labels=np.zeros(6, dtype=np.int64), community_count=1)
-    m = community_link_matrix(TRIANGLES, p)
+    m = dense_link_matrix(TRIANGLES, p)
     assert m[0, 0] == TRIANGLES.edge_count
 
 
@@ -35,9 +38,65 @@ def test_link_matrix_mass_conservation():
     for _ in range(10):
         g = er_graph(30, 0.2, rng)
         p = random_partition(30, 4, rng)
-        counts = community_link_matrix(g, p)
+        counts = dense_link_matrix(g, p)
         assert np.array_equal(counts, counts.T)
         assert np.triu(counts).sum() == g.edge_count
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """Random graphs of up to 40 nodes, empty to complete, with a partition of
+    C = 1, C = n, or random labels drawn from more communities than they use.
+
+    Dense rows with many communities make numpy's pairwise row sum group
+    terms differently from a sequential one, so the bits test the grouping.
+    """
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = er_graph(n, draw(st.floats(0.0, 1.0)), rng)
+    kind = draw(st.sampled_from(["one", "singletons", "random"]))
+    if kind == "one":
+        return graph, Partition(labels=np.zeros(n, dtype=np.int64), community_count=1)
+    if kind == "singletons":
+        return graph, Partition(labels=np.arange(n), community_count=n)
+    count = draw(st.integers(1, n + 3))
+    return graph, Partition(labels=rng.integers(0, count, size=n), community_count=count)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=partitioned_graphs())
+def test_indicator_bits_match_dense_formula(rows, case):
+    graph, partition = case
+    scratch = indicator._SCRATCH if rows is None else rows * 8 * partition.community_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indicator, "_SCRATCH", scratch)
+        g = global_indicator(graph, partition).g
+    assert g.tobytes() == dense_indicator(graph, partition).tobytes()
+
+
+def test_indicator_memory_is_bounded_with_many_communities():
+    # n = 20000, ~60k edges, C = 2000: the dense n x C product alone is 305 MiB
+    rng = np.random.default_rng(5)
+    n = 20000
+    ends = rng.integers(0, n, size=(62000, 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    key = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
+    graph = Graph.from_edges(n, np.column_stack(np.divmod(key, n)))
+    partition = Partition(labels=rng.integers(0, 2000, size=n), community_count=2000)
+    tracemalloc.start()
+    try:
+        global_indicator(graph, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count > 59000
+    assert peak < 50 * 2**20
+
+
+def test_indicator_rejects_overflowing_keys():
+    with pytest.raises(ValueError, match="communities"):
+        global_indicator(TRIANGLES, Partition(labels=np.zeros(6), community_count=2**62))
 
 
 def test_indicator_intra_only_nodes_are_zero():

@@ -210,6 +210,41 @@ def inter_community_fraction(graph: Graph, partition: Partition) -> float:
     return float((cu != cv).sum() / graph.edge_count)
 
 
+def dense_link_matrix(graph: Graph, partition: Partition) -> np.ndarray:
+    """Symmetric C x C inter-community link counts; internal counts on the diagonal."""
+    c = partition.community_count
+    counts = np.zeros((c, c), dtype=np.int64)
+    cu = partition.labels[graph.edges[:, 0]]
+    cv = partition.labels[graph.edges[:, 1]]
+    same = cu == cv
+    np.add.at(counts, (cu[same], cv[same]), 1)
+    np.add.at(counts, (cu[~same], cv[~same]), 1)
+    np.add.at(counts, (cv[~same], cu[~same]), 1)
+    return counts
+
+
+def dense_indicator(graph: Graph, partition: Partition) -> np.ndarray:
+    """G as the row sums of the dense n x C product ``touches * inv[labels]``.
+
+    ``touches[i, J]`` marks the foreign communities node i links to, and
+    ``inv[I, J]`` is 1/links(I, J) off the diagonal. This is the reference
+    that ``global_indicator`` must match bit for bit.
+    """
+    matrix = dense_link_matrix(graph, partition)
+    touches = np.zeros((graph.node_count, partition.community_count), dtype=bool)
+    eu = graph.edges[:, 0]
+    ev = graph.edges[:, 1]
+    cu = partition.labels[eu]
+    cv = partition.labels[ev]
+    inter = cu != cv
+    touches[eu[inter], cv[inter]] = True
+    touches[ev[inter], cu[inter]] = True
+    inv = np.zeros_like(matrix, dtype=np.float64)
+    np.divide(1.0, matrix, out=inv, where=matrix > 0)
+    np.fill_diagonal(inv, 0.0)  # own community never contributes
+    return (touches * inv[partition.labels]).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class BridgeDegreeBias:
     """Degree comparison between nodes picked for rewiring and all nodes."""
