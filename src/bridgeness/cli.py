@@ -23,7 +23,7 @@ from .centrality import (
     write_centrality_csv,
     write_centrality_json,
 )
-from .community import LouvainConfig, louvain
+from .community import LouvainConfig, LouvainRun, louvain_passes
 from .evaluation import (
     cumulative_ratio_curve,
     curve_advantage,
@@ -36,7 +36,6 @@ from .evaluation import (
 from .graph import (
     EdgeListError,
     NodeTable,
-    Partition,
     PartitionError,
     load_edge_list,
     load_partition,
@@ -144,22 +143,24 @@ def cmd_indicator(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detect_communities(graph, **config) -> Partition:
+def _detect_communities(graph, **config) -> LouvainRun:
     try:
-        return louvain(graph, LouvainConfig(**config))
+        return louvain_passes(graph, LouvainConfig(**config))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
     graph, table = _load_graph(args)
-    partition = _detect_communities(graph, seed=args.seed, max_passes=args.max_passes,
-                                    min_gain=args.min_gain)
+    run = _detect_communities(graph, seed=args.seed, max_passes=args.max_passes,
+                              min_gain=args.min_gain)
+    partition = run.partition
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         write_partition(partition, table, fh)
     _write_provenance(out.with_suffix(out.suffix + ".provenance.json"),
-                      "communities", args, [Path(args.input)])
+                      "communities", args, [Path(args.input)],
+                      extra={"louvain_moves": run.moves, "louvain_evaluations": run.evaluations})
     print(f"communities: {partition.community_count}")
     return 0
 
@@ -223,7 +224,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise CliError(f"unknown detection method {args.detect!r}")
         if args.seed is None:
             raise CliError("--detect louvain requires --seed")
-        partition = _detect_communities(graph, seed=args.seed)
+        partition = _detect_communities(graph, seed=args.seed).partition
 
     result = bridgeness_exact(graph, workers=args.workers)
     indicator_result = global_indicator(graph, partition)

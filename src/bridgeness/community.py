@@ -6,6 +6,18 @@ moves go to the lowest community label, so a given seed always yields the
 same partition. The public graph API is unweighted, but aggregation makes
 inner levels weighted, so the optimizer works on weighted adjacency maps
 internally.
+
+A sweep skips a node whose decision cannot have changed since its last
+evaluation. That decision depends only on the node's own community, the
+links it has to each neighbouring community (the keys of its ``to_comm``)
+and the strengths of those communities. A neighbour's move takes the
+neighbour out of one of those keys, and any move changes the strength of
+the two communities involved, so a node is evaluated again only after a
+move into or out of its own community or one of its last candidates. This
+is exact because every weight is an integer-valued float: the input is
+unweighted and aggregation only adds weights, so a node that stays
+restores its community's strength bit for bit, and the same inputs give
+the same decision.
 """
 from __future__ import annotations
 
@@ -32,10 +44,16 @@ class LouvainConfig:
 
 @dataclass(frozen=True)
 class LouvainRun:
-    """Final partition plus the modularity value reached after each pass."""
+    """Final partition plus the modularity value reached after each pass.
+
+    ``moves`` and ``evaluations`` hold, for each pass, the nodes moved and
+    the nodes evaluated in each local-move sweep of that pass.
+    """
 
     partition: Partition
     pass_modularity: tuple[float, ...]
+    moves: tuple[tuple[int, ...], ...]
+    evaluations: tuple[tuple[int, ...], ...]
 
 
 def modularity(graph: Graph, partition: Partition) -> float:
@@ -73,31 +91,48 @@ class _LevelGraph:
         return cls(adj, [0.0] * graph.node_count)
 
 
-def _one_level(level: _LevelGraph, rng: random.Random) -> list[int]:
-    """Greedy local moves until no single move improves modularity."""
+def _one_level(level: _LevelGraph, rng: random.Random) -> tuple[list[int], list[int], list[int]]:
+    """Greedy local moves until no single move improves modularity.
+
+    Returns the communities, and the nodes moved and evaluated per sweep.
+    """
     adj, strength = level.adj, level.strength
     n = len(adj)
     two_m = 2.0 * level.total_weight
     comm = list(range(n))
     comm_strength = list(strength)
     order = list(range(n))
+    # watchers[c]: nodes whose last evaluation saw community c; a move into
+    # or out of c marks them stale, and only stale nodes are evaluated
+    watchers: list[list[int]] = [[] for _ in range(n)]
+    stale = bytearray(b"\x01") * n
+    moves: list[int] = []
+    evaluations: list[int] = []
 
-    moved = True
-    while moved:
-        moved = False
+    while not moves or moves[-1]:
         rng.shuffle(order)
+        moved = evaluated = 0
         for v in order:
+            if not stale[v]:
+                continue
+            evaluated += 1
             cv = comm[v]
             kv = strength[v]
-            # links from v to each neighboring community
-            to_comm: dict[int, float] = {}
+            # links from v to each neighboring community, its own included
+            to_comm: dict[int, float] = {cv: 0.0}
             get = to_comm.get
             for w, weight in adj[v].items():
                 c = comm[w]
                 to_comm[c] = get(c, 0.0) + weight
+            # the first sweep moves nearly every node, so it watches nothing
+            # and leaves every node stale for the second
+            if moves:
+                stale[v] = 0
+                for c in to_comm:
+                    watchers[c].append(v)
             comm_strength[cv] -= kv
             best_comm = cv
-            best_gain = get(cv, 0.0) - comm_strength[cv] * kv / two_m
+            best_gain = to_comm[cv] - comm_strength[cv] * kv / two_m
             # ascending label order + strict improvement = lowest label wins ties
             for cand, k_in in sorted(to_comm.items()):
                 if cand == cv:
@@ -109,8 +144,14 @@ def _one_level(level: _LevelGraph, rng: random.Random) -> list[int]:
             comm_strength[best_comm] += kv
             if best_comm != cv:
                 comm[v] = best_comm
-                moved = True
-    return comm
+                for c in (cv, best_comm):
+                    for u in watchers[c]:
+                        stale[u] = 1
+                    watchers[c] = []
+                moved += 1
+        moves.append(moved)
+        evaluations.append(evaluated)
+    return comm, moves, evaluations
 
 
 def _aggregate(level: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, list[int]]:
@@ -152,10 +193,14 @@ def louvain_passes(graph: Graph, config: LouvainConfig) -> LouvainRun:
     level = _LevelGraph.from_graph(graph)
     flat = list(range(graph.node_count))
     history: list[float] = []
+    moves: list[tuple[int, ...]] = []
+    evaluations: list[tuple[int, ...]] = []
     prev_q: float | None = None
 
     for _ in range(config.max_passes):
-        comm = _one_level(level, rng)
+        comm, level_moves, level_evaluations = _one_level(level, rng)
+        moves.append(tuple(level_moves))
+        evaluations.append(tuple(level_evaluations))
         level, dense = _aggregate(level, comm)
         flat = [dense[x] for x in flat]
         q = modularity(graph, Partition.from_labels(flat))
@@ -167,7 +212,8 @@ def louvain_passes(graph: Graph, config: LouvainConfig) -> LouvainRun:
         prev_q = q
 
     return LouvainRun(
-        partition=Partition.from_labels(flat), pass_modularity=tuple(history)
+        partition=Partition.from_labels(flat), pass_modularity=tuple(history),
+        moves=tuple(moves), evaluations=tuple(evaluations),
     )
 
 

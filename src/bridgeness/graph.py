@@ -178,9 +178,14 @@ def load_edge_list(
     Duplicate edges (in either orientation) are collapsed and self-loops
     are dropped. Both are reported through a single warning with counts.
     ``delimiter=None`` splits on whitespace.
+
+    A node ID may not contain ``,`` or start with ``#``: the partition and
+    CSV outputs are comma-separated and skip ``#`` lines, so such an ID
+    could not be read back. Such an ID raises :class:`EdgeListError`.
     """
     index: dict[str, int] = {}  # ID -> internal index, in order of first appearance
     endpoints: list[int] = []  # two per edge line
+    commas = delimiter != ","  # fields split on commas cannot contain one
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or (skip_comments and line[0] == "#"):
@@ -193,6 +198,12 @@ def load_edge_list(
                 f"line {lineno}: expected 2 fields, got {len(pair)}: {line!r}"
             )
         u, v = pair
+        if "#" in line or (commas and "," in line):
+            for node_id in pair:
+                if "," in node_id or node_id.startswith("#"):
+                    raise EdgeListError(
+                        f"line {lineno}: node ID {node_id!r} contains ',' or starts with '#'"
+                    )
         endpoints += index.setdefault(u, len(index)), index.setdefault(v, len(index))
 
     ids = list(index)

@@ -20,7 +20,9 @@ The far endpoint reattaches to a degree-proportional stub. That draw
 descends a Fenwick tree of the degrees (Fenwick 1994) in O(log n) and
 returns exactly the node ``rng.choice(n, p=degrees / degrees.sum())`` would
 from the same draw: a draw too close to a bucket edge for numpy's float CDF
-to be sure of it is answered by numpy's own computation instead.
+to be sure of it is answered by numpy's own computation instead. Phase 1
+places nodes with the same sampler, over the free places of the
+communities that are large enough for the node's degree.
 
 The finished adjacency goes to :meth:`Graph.from_edges` as one ``(m, 2)``
 array; the CSR build sorts it, so set iteration order never reaches the
@@ -148,40 +150,45 @@ def _weighted_index(weights: np.ndarray, u: float) -> int:
     return int(cdf.searchsorted(u, side="right"))
 
 
-class _StubSampler:
-    """Degree-proportional node draws in O(log n), equal to ``rng.choice``.
+class _FenwickSampler:
+    """Weight-proportional index draws in O(log n), equal to ``rng.choice``.
 
-    ``tree`` is a 1-based Fenwick tree over the integer ``degrees``, so a
+    ``tree`` is a 1-based Fenwick tree over the integer ``weights``, so a
     prefix sum and a point update each cost O(log n).
     """
 
-    def __init__(self, degrees: list[int]) -> None:
-        self.n = n = len(degrees)
-        self.degrees = list(degrees)
-        self.tree = [0, *degrees]
+    def __init__(self, weights: list[int]) -> None:
+        self.n = n = len(weights)
+        self.weights = list(weights)
+        self.tree = [0, *weights]
         for i in range(1, n + 1):
             parent = i + (i & -i)
             if parent <= n:
                 self.tree[parent] += self.tree[i]
-        self.total = sum(degrees)  # a move keeps it
+        self.total = sum(weights)
         self.top = 1 << (n.bit_length() - 1) if n else 0
         # numpy's cdf[i] is within about (2n+3) * 2**-53 of the exact prefix
-        # ratio P_{i+1}/S: each quotient d_j/S rounds once, the sequential
+        # ratio P_{i+1}/S: each quotient w_j/S rounds once, the sequential
         # cumsum adds up to n roundings of partial sums <= 1 + O(n 2**-53),
         # dividing by cdf[-1] (itself that close to 1) doubles that, and the
         # division rounds once more. A margin of 16(n+2) units covers it
-        # eightfold; slack is that margin scaled by S.
-        self.slack = 16 * (n + 2) * self.total
+        # eightfold; the guard's slack is that margin scaled by S.
+        self.margin = 16 * (n + 2)
         self.fallbacks = 0
 
+    def add(self, i: int, delta: int) -> None:
+        """Add ``delta`` to weight ``i``."""
+        self.weights[i] += delta
+        self.total += delta
+        i += 1
+        while i <= self.n:
+            self.tree[i] += delta
+            i += i & -i
+
     def move(self, u: int, w: int) -> None:
-        """Move one stub from ``u`` to ``w``."""
-        self.degrees[u] -= 1
-        self.degrees[w] += 1
-        for i, delta in ((u + 1, -1), (w + 1, 1)):
-            while i <= self.n:
-                self.tree[i] += delta
-                i += i & -i
+        """Move one unit of weight from ``u`` to ``w``."""
+        self.add(u, -1)
+        self.add(w, 1)
 
     def draw(self, rng: np.random.Generator) -> int:
         u = rng.random()
@@ -199,12 +206,13 @@ class _StubSampler:
         # test does not trust x, so a rounded descent can only cost a fallback.
         if pos < n:
             num, den = u.as_integer_ratio()
-            above = below + self.degrees[pos]
-            if ((below * _EXACT_UNIT + self.slack) * den <= num * total * _EXACT_UNIT
-                    < (above * _EXACT_UNIT - self.slack) * den):
+            above = below + self.weights[pos]
+            slack = self.margin * total
+            if ((below * _EXACT_UNIT + slack) * den <= num * total * _EXACT_UNIT
+                    < (above * _EXACT_UNIT - slack) * den):
                 return pos
         self.fallbacks += 1
-        return _weighted_index(np.array(self.degrees, dtype=np.float64), u)
+        return _weighted_index(np.array(self.weights, dtype=np.float64), u)
 
 
 def _assign_communities(
@@ -217,22 +225,29 @@ def _assign_communities(
     communities larger than the node's degree. High-degree nodes therefore
     concentrate in large communities, and degrees are never trimmed except
     in the rare fallback where no feasible community has room left.
+
+    The draw is ``rng.choice`` over those weights. Since degrees only fall
+    along the order, a community joins the sampler, with its free places,
+    once it is larger than the current degree, and stays in it.
     """
-    n = len(degrees)
-    free = np.asarray(sizes, dtype=np.int64).copy()
-    size_arr = np.asarray(sizes, dtype=np.int64)
-    labels = np.full(n, -1, dtype=np.int64)
-    order = np.lexsort((np.arange(n), -degrees))
-    for v in order.tolist():
-        # communities too small for the degree weigh 0, and so do full ones
-        weights = np.where(size_arr > degrees[v], free, 0.0)
-        if not weights.any():
+    free = list(sizes)
+    by_size = sorted(range(len(sizes)), key=lambda c: -sizes[c])  # stable: ties by index
+    sampler = _FenwickSampler([0] * len(sizes))
+    feasible = 0  # by_size[:feasible] are in the sampler
+    labels = np.full(len(degrees), -1, dtype=np.int64)
+    order = np.lexsort((np.arange(len(degrees)), -degrees))
+    for v, degree in zip(order.tolist(), degrees[order].tolist()):
+        while feasible < len(sizes) and sizes[by_size[feasible]] > degree:
+            c = by_size[feasible]
+            sampler.add(c, free[c])
+            feasible += 1
+        if sampler.total == 0:
             # shrink the degree to the roomiest community still open
-            open_comms = free > 0
-            c = int(np.flatnonzero(open_comms)[np.argmax(size_arr[open_comms])])
-            degrees[v] = size_arr[c] - 1
+            c = next(c for c in by_size if free[c])
+            degrees[v] = sizes[c] - 1
         else:
-            c = _weighted_index(weights, rng.random())
+            c = sampler.draw(rng)
+            sampler.add(c, -1)
         labels[v] = c
         free[c] -= 1
     return labels
@@ -325,7 +340,7 @@ class _WiringState:
     """Mutable edge structures shared by the rewiring phase.
 
     ``intra[v]`` is the sorted list of ``v``'s intra-community neighbours,
-    built from ``intra_edges`` and kept by ``drop_intra``.
+    built from ``adjacency`` and kept by ``drop_intra``.
     """
 
     labels: np.ndarray
@@ -338,11 +353,9 @@ class _WiringState:
 
     def __post_init__(self) -> None:
         self.intra_pos = {e: i for i, e in enumerate(self.intra_edges)}
-        ends = np.fromiter(chain.from_iterable(self.intra_edges), dtype=np.int64,
-                           count=2 * len(self.intra_edges))
-        csr = Graph.from_edges(len(self.adjacency), ends.reshape(-1, 2))
-        indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
-        self.intra = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
+        labels = self.labels.tolist()
+        self.intra = [sorted([w for w in nbrs if labels[w] == label])
+                      for nbrs, label in zip(self.adjacency, labels)]
 
     def drop_intra(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)
@@ -382,12 +395,12 @@ def _rewire_to_mu(
     still own an intra link (degree-unbiased); ``"link"`` picks an intra
     link uniformly and keeps a random endpoint (degree-biased, the classic
     construction). The freed far end reattaches to a random external stub
-    (degree-proportional, see ``_StubSampler``). Returns the set of kept
+    (degree-proportional, see ``_FenwickSampler``). Returns the set of kept
     endpoints.
     """
     n = len(state.adjacency)
     labels = state.labels.tolist()
-    stubs = _StubSampler([len(a) for a in state.adjacency])
+    stubs = _FenwickSampler([len(a) for a in state.adjacency])
     rewired: set[int] = set()
     attempts = 0
     while state.mu() < target_mu:

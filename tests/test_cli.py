@@ -231,6 +231,24 @@ def test_malformed_input_exits_1(tmp_path):
                  "--output", str(tmp_path / "out.csv")]) == 1
 
 
+@pytest.mark.parametrize("text, line, node_id", [
+    ("x,1 y\ny z\nz x,1\nz w\n", 1, "x,1"),
+    ("1 2\n2 3\n3 1\n3 #4\n", 4, "#4"),
+], ids=["comma", "leading-hash"])
+@pytest.mark.parametrize("command", ["centrality", "communities"])
+def test_node_ids_the_csv_outputs_cannot_hold_exit_1(tmp_path, capsys, text, line, node_id,
+                                                      command):
+    edges = tmp_path / "g.edges"
+    edges.write_text(text)
+    extra = ["--seed", "1"] if command == "communities" else []
+    code = main([command, "--input", str(edges), "--output", str(tmp_path / "out.csv"), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"line {line}: node ID {node_id!r}" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_generate_writes_files_and_is_reproducible(tmp_path, capsys):
     prefix = tmp_path / "net"
     args = ["generate", *LFR_ARGS, "--output-prefix", str(prefix)]
@@ -312,8 +330,15 @@ def test_communities_command_roundtrip(tmp_path, capsys):
     assert main(args) == 0
     assert "communities:" in capsys.readouterr().out
     first = out.read_bytes()
+    provenance = Path(f"{out}.provenance.json")
+    first_provenance = provenance.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == first  # same seed, same partition
+    assert provenance.read_bytes() == first_provenance  # the counters are deterministic
+    record = json.loads(first_provenance)
+    moves, evaluations = record["louvain_moves"], record["louvain_evaluations"]
+    assert [len(sweeps) for sweeps in moves] == [len(sweeps) for sweeps in evaluations]
+    assert evaluations[0][0] == 150 and all(sweeps[-1] == 0 for sweeps in moves)
 
 
 @pytest.mark.parametrize("flags", [["--max-passes", "0"], ["--min-gain", "0"],

@@ -1,18 +1,24 @@
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bridgeness import (
     Graph,
+    LfrConfig,
     LouvainConfig,
     Partition,
+    community,
+    generate,
     louvain,
     louvain_passes,
     modularity,
 )
 
-from util import best_label_agreement, complete_graph
+from util import best_label_agreement, complete_graph, reference_one_level
 
 
 def two_cliques(k, bridge=True):
@@ -136,3 +142,46 @@ def test_best_label_agreement_helper():
     a = np.array([0, 0, 1, 1])
     b = np.array([1, 1, 0, 0])
     assert best_label_agreement(a, b) == 1.0
+
+
+@st.composite
+def clustered_graphs(draw):
+    """Random graphs of dense groups inside denser blocks, so Louvain merges
+    nodes into groups and then groups into blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = draw(st.integers(2, 5))
+    groups = draw(st.integers(2, 5))
+    size = draw(st.integers(3, 7))
+    n = blocks * groups * size
+    group = np.arange(n) // size
+    block = group // groups
+    p = np.where(group[:, None] == group[None, :], draw(st.floats(0.5, 1.0)),
+                 np.where(block[:, None] == block[None, :], draw(st.floats(0.05, 0.3)),
+                          draw(st.floats(0.0, 0.03))))
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return Graph.from_edges(n, np.argwhere(upper))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graph=clustered_graphs(), seed=st.integers(0, 2**16))
+def test_skipping_unchanged_nodes_keeps_every_decision(graph, seed):
+    assume(graph.edge_count > 0)
+    config = LouvainConfig(seed=seed)
+    with mock.patch.object(community, "_one_level", reference_one_level):
+        expected = louvain_passes(graph, config)
+    assume(len(expected.pass_modularity) >= 2)  # aggregated at least twice
+    run = louvain_passes(graph, config)
+    assert np.array_equal(run.partition.labels, expected.partition.labels)
+    assert repr(run.pass_modularity) == repr(expected.pass_modularity)
+    assert run.moves == expected.moves
+    assert all(0 < e <= n for level, full in zip(run.evaluations, expected.evaluations)
+               for e, n in zip(level, full))
+
+
+def test_last_level_zero_sweep_skips_unchanged_nodes():
+    graph = generate(LfrConfig(n=1000, communities=30, mu=0.2, seed=7)).graph  # default1000
+    run = louvain_passes(graph, LouvainConfig(seed=5))
+    assert run.moves[0][-1] == 0
+    assert run.evaluations[0][0] == graph.node_count
+    assert run.evaluations[0][-1] < graph.node_count
+    assert len(run.moves) == len(run.evaluations) == len(run.pass_modularity)

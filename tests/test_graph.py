@@ -196,7 +196,7 @@ def test_node_table_lookup():
         NodeTable(ids=("x", "x"))
 
 
-_TOKENS = st.sampled_from(["a", "b", "c", "01", "1", "001", "x#", "é", "-1"])
+_TOKENS = st.sampled_from(["a", "b", "c", "01", "1", "001", "x#", "é", "-1", "#4", "x,1"])
 _PADS = st.sampled_from(["", " ", "\t", "  "])
 
 

@@ -1,4 +1,5 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from bridgeness import (
     GenerationError,
     LfrConfig,
     generate,
+    netgen,
 )
-from bridgeness.netgen import _rewire_to_mu, _StubSampler, _weighted_index, _WiringState
+from bridgeness.netgen import (
+    _EXACT_UNIT, _assign_communities, _FenwickSampler, _rewire_to_mu, _weighted_index,
+    _WiringState,
+)
 
-from util import bridge_degree_bias, inter_community_fraction
+from util import bridge_degree_bias, inter_community_fraction, reference_assign_communities
 
 SMALL = dict(n=150, communities=4, mu=0.15, min_degree=6, max_degree=20, mean_degree=10.0)
 
@@ -190,7 +195,7 @@ degree_vectors = st.lists(st.integers(0, 60), min_size=1, max_size=300).filter(a
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(degrees=degree_vectors, seed=st.integers(0, 2**32 - 1))
 def test_stub_sampler_equals_rng_choice_over_a_walk(degrees, seed):
-    sampler = _StubSampler(degrees)
+    sampler = _FenwickSampler(degrees)
     current = np.array(degrees, dtype=np.float64)
     fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     walk = np.random.default_rng(seed + 1)
@@ -205,7 +210,7 @@ def test_stub_sampler_equals_rng_choice_over_a_walk(degrees, seed):
         current[u] -= 1.0
         current[w] += 1.0
         drained += u != w and current[u] == 0.0
-    assert sampler.degrees == current.astype(int).tolist()
+    assert sampler.weights == current.astype(int).tolist()
     assert len(current) == 1 or drained > 0
 
 
@@ -238,7 +243,7 @@ def test_stub_sampler_falls_back_to_numpy_at_bucket_edges(degrees):
         (exact[:, None] + np.arange(-16, 17) * 2.0**-53).ravel(),
     ))
     draws = draws[(draws >= 0.0) & (draws < 1.0)]
-    sampler = _StubSampler(degrees)
+    sampler = _FenwickSampler(degrees)
     stub_rng = FixedDraws(draws.tolist())
     got = [sampler.draw(stub_rng) for _ in draws]
     assert got == cdf.searchsorted(draws, side="right").tolist()
@@ -253,3 +258,48 @@ def test_weighted_index_equals_rng_choice(weights, seed):
     fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(50):
         assert _weighted_index(w, fast.random()) == int(reference.choice(len(w), p=w / w.sum()))
+
+
+class _GuardlessSampler(_FenwickSampler):
+    """A sampler whose guard never trusts the tree, so every draw falls back
+    to numpy; its instances are kept for their counters."""
+
+    made: list["_GuardlessSampler"] = []
+
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.margin = _EXACT_UNIT  # 2**53 units of 2**-53: no draw passes the guard
+        self.draws = 0
+        self.made.append(self)
+
+    def draw(self, rng):
+        self.draws += 1
+        return super().draw(rng)
+
+
+@st.composite
+def placements(draw):
+    """Community sizes and a degree per place, often more than fit."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=30))
+    top = draw(st.integers(1, 2 * max(sizes)))
+    degrees = draw(st.lists(st.integers(1, top), min_size=sum(sizes), max_size=sum(sizes)))
+    return np.array(degrees, dtype=np.int64), tuple(sizes)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(placement=placements(), seed=st.integers(0, 2**32 - 1), guardless=st.booleans())
+def test_placement_equals_the_numpy_reference(placement, seed, guardless):
+    degrees, sizes = placement
+    expected_degrees = degrees.copy()
+    reference_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_assign_communities(expected_degrees, sizes, reference_rng)
+    _GuardlessSampler.made.clear()
+    with mock.patch.object(netgen, "_FenwickSampler",
+                           _GuardlessSampler if guardless else _FenwickSampler):
+        labels = _assign_communities(degrees, sizes, rng)
+    assert labels.tolist() == expected.tolist()
+    assert degrees.tolist() == expected_degrees.tolist()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    if guardless:
+        (sampler,) = _GuardlessSampler.made
+        assert sampler.fallbacks == sampler.draws

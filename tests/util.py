@@ -9,6 +9,7 @@ import numpy as np
 from bridgeness import (
     CentralityResult, EdgeListError, GeneratedNetwork, Graph, LfrConfig, Partition, generate,
 )
+from bridgeness.netgen import _weighted_index
 
 
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -69,8 +70,9 @@ def reference_edge_list(lines, *, delimiter=None, skip_comments=True):
 
     Returns ``(ids, edges, self_loops, duplicates)``: IDs in order of first
     appearance, the sorted ``(lo, hi)`` index pairs of the kept edges, and
-    the two cleanup counts ``load_edge_list`` logs. Malformed lines raise
-    the same ``EdgeListError`` message.
+    the two cleanup counts ``load_edge_list`` logs. Malformed lines and
+    node IDs that contain ``,`` or start with ``#`` raise the same
+    ``EdgeListError`` message.
     """
     ids: list[str] = []
     index: dict[str, int] = {}
@@ -93,6 +95,10 @@ def reference_edge_list(lines, *, delimiter=None, skip_comments=True):
             tokens = [tok.strip() for tok in line.split(delimiter)]
         if len(tokens) != 2:
             raise EdgeListError(f"line {lineno}: expected 2 fields, got {len(tokens)}: {line!r}")
+        for token in tokens:
+            if "," in token or token.startswith("#"):
+                raise EdgeListError(
+                    f"line {lineno}: node ID {token!r} contains ',' or starts with '#'")
         u, v = (intern(tok) for tok in tokens)
         if u == v:
             self_loops += 1
@@ -185,6 +191,73 @@ def si_compat_oracle(graph: Graph) -> np.ndarray:
                 elif outside == 1:
                     out[j] += 0.5 * frac
     return out
+
+
+def reference_one_level(level, rng):
+    """Louvain local moves that evaluate every node in every sweep.
+
+    The reference for ``community._one_level``, with the same return value:
+    the communities, and the nodes moved and evaluated per sweep.
+    """
+    adj, strength = level.adj, level.strength
+    n = len(adj)
+    two_m = 2.0 * level.total_weight
+    comm = list(range(n))
+    comm_strength = list(strength)
+    order = list(range(n))
+    moves = []
+    while not moves or moves[-1]:
+        rng.shuffle(order)
+        moved = 0
+        for v in order:
+            cv = comm[v]
+            kv = strength[v]
+            to_comm = {}
+            for w, weight in adj[v].items():
+                to_comm[comm[w]] = to_comm.get(comm[w], 0.0) + weight
+            comm_strength[cv] -= kv
+            best_comm = cv
+            best_gain = to_comm.get(cv, 0.0) - comm_strength[cv] * kv / two_m
+            for cand, k_in in sorted(to_comm.items()):
+                if cand == cv:
+                    continue
+                gain = k_in - comm_strength[cand] * kv / two_m
+                if gain > best_gain + 1e-12:
+                    best_gain = gain
+                    best_comm = cand
+            comm_strength[best_comm] += kv
+            if best_comm != cv:
+                comm[v] = best_comm
+                moved += 1
+        moves.append(moved)
+    return comm, moves, [n] * len(moves)
+
+
+def reference_assign_communities(degrees, sizes, rng):
+    """LFR placement with one numpy weight vector per node.
+
+    The reference for ``netgen._assign_communities``: each node, in
+    descending degree order, goes to a community drawn by ``rng.choice``'s
+    arithmetic over the free places of the communities larger than its
+    degree, or, when all of those are full, to the largest open community
+    with its degree shrunk to fit.
+    """
+    n = len(degrees)
+    free = np.asarray(sizes, dtype=np.int64).copy()
+    size_arr = np.asarray(sizes, dtype=np.int64)
+    labels = np.full(n, -1, dtype=np.int64)
+    order = np.lexsort((np.arange(n), -degrees))
+    for v in order.tolist():
+        weights = np.where(size_arr > degrees[v], free, 0.0)
+        if not weights.any():
+            open_comms = free > 0
+            c = int(np.flatnonzero(open_comms)[np.argmax(size_arr[open_comms])])
+            degrees[v] = size_arr[c] - 1
+        else:
+            c = _weighted_index(weights, rng.random())
+        labels[v] = c
+        free[c] -= 1
+    return labels
 
 
 def best_label_agreement(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
