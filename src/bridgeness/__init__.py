@@ -12,9 +12,10 @@ __version__ = "0.1.0"
 from .centrality import (
     CentralityResult,
     bridgeness_exact,
+    bridgeness_si_compat,
     locterm_by_degree,
 )
-from .community import LouvainConfig, LouvainRun, louvain, louvain_passes, modularity
+from .community import LouvainConfig, LouvainRun, louvain_passes, modularity
 from .evaluation import (
     RankingCurve,
     cumulative_ratio_curve,
@@ -55,13 +56,13 @@ __all__ = [
     "write_partition",
     "CentralityResult",
     "bridgeness_exact",
+    "bridgeness_si_compat",
     "locterm_by_degree",
     "GlobalIndicatorResult",
     "global_indicator",
     "LouvainConfig",
     "LouvainRun",
     "modularity",
-    "louvain",
     "louvain_passes",
     "LfrConfig",
     "GeneratedNetwork",

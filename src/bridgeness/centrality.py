@@ -5,21 +5,23 @@ the fraction of shortest i-k paths passing through j. Bridgeness keeps only
 pairs where neither endpoint is j or one of j's neighbors; the local term is
 the remainder. Everything here is unweighted (BFS shortest paths).
 
-The engine is a level-synchronous Brandes sweep from every source. On top of the
-usual dependency accumulation it tracks two extra per-node accumulators that
-make the decomposition exact in O(n*m)-style passes:
+The engine is a level-synchronous Brandes sweep from every source s. Beside
+the dependency delta_s(v) = sum over successors w of sigma_sv / sigma_sw *
+(1 + delta_s(w)), its backward pass sums, for sources with d(s, v) >= 2,
+beta_s(v): the same sum without the ``1 +``. A target t adjacent to v on a
+shortest s-t path through v is a successor of v, and the ``1 +`` is exactly
+its share, so the sum of beta over those sources (``bri``) counts the pairs
+with both ends outside N(v) | {v}: the ordered bridgeness. ``l1[v]`` sums
+delta_s(v) over the sources adjacent to v.
 
-* ``l1[j]``: dependency contributed by sources adjacent to j, i.e. the
-  ordered sum over pairs whose *source* endpoint neighbors j.
-* ``p[j]``: the ordered neighbor-pair correction. For s, t both adjacent to
-  j with d(s, t) = 2, j lies on a shortest s-t path of weight 1/sigma_st
-  (single-edge legs have sigma = 1), so those pairs would otherwise be
-  double-counted by 2*l1.
-
-Ordered local term = 2*l1 - p; bridgeness = bc - local; the source-side
-filtered variant si = bc - l1 (see :class:`CentralityResult`). All public
-results use the unordered-pair convention (ordered sums halved once at the
-end), and all four come from one sweep.
+:func:`bridgeness_exact` gives bridgeness = bri and local = bc - bridgeness;
+:func:`bridgeness_si_compat` gives si = bc - l1 in the bridgeness field. Only
+the former fills ``bri``, which costs one more scatter per DAG pair. Results
+count unordered pairs (ordered sums halved at the end). Every term is
+non-negative, each beta term is at most the delta term beside it, and
+``l1``'s terms are a subsequence of ``bc``'s in the same order, so
+0 <= bridgeness <= bc and 0 <= si <= bc hold in floating point without a
+clamp, and a zero bridgeness is 0.0.
 
 Block engine. B sources are swept at once, as one BFS over B disjoint copies
 of the graph held in n x B arrays (column k belongs to the k-th source):
@@ -30,28 +32,29 @@ of the graph held in n x B arrays (column k belongs to the k-th source):
   kept (pred, succ) pair adds sigma[pred] to sigma[succ] by ``np.add.at``
   and is recorded as a shortest-path DAG edge. From level 3 on, a level
   goes bottom-up when the unvisited cells have at least ``_PIECE`` fewer
-  incidences than the frontier; levels 1 and 2 stay top-down, so the level-2
-  pairs ``p`` reads come grouped by pred. Either way the next frontier is
-  the cells at distance d, in cell order;
-* backward: the recorded pairs are walked from the deepest level up, and
-  each pred receives ``sigma[pred] / sigma[succ] * (1 + delta[succ])`` by
-  ``np.add.at``. Nothing is expanded again and no distance is tested.
+  incidences than the frontier; levels 1 and 2 stay top-down, which
+  measured faster than leaving level 2 to that rule. Either way the next
+  frontier is the cells at distance d, in cell order;
+* backward: the recorded pairs are walked from the deepest level up. Each
+  pair's ``ratio = sigma[pred] / sigma[succ]`` and gathered ``delta[succ]``
+  give pred ``ratio * (1 + delta[succ])`` into delta and, when pred is at
+  least two levels from the source, ``ratio * delta[succ]`` into bri, both
+  by ``np.add.at``. Nothing is expanded again and no distance is tested.
 
 Results are bit-identical to sweeping one source at a time: every sum has
 the same terms in the same order. Top-down records pairs by pred cell,
 bottom-up by succ cell, both by neighbor within a cell, so each sigma[succ]
-adds its preds in increasing node order from 0.0 and each delta[pred] its
-terms in increasing successor order. The backward pass keeps the per-term
-expression (``sigma * (A @ ((1 + delta) / sigma))`` would reassociate it),
-``bc`` and ``l1`` take each source's terms in source order, and ``p`` sums
-each pred's level-2 terms after a 0.0 by ``np.add.reduceat``, which groups
-them as ``np.sum`` does. Block width, piece size and direction change no
-bit. A non-finite sigma after the forward pass raises ``OverflowError``.
+adds its preds in increasing node order from 0.0 and each delta[pred] and
+bri[pred] its terms in increasing successor order. The backward pass keeps
+the per-term expression (``sigma * (A @ ((1 + delta) / sigma))`` would
+reassociate it), and ``bc``, ``l1`` and ``bri`` take each source's terms in
+source order. Block width, piece size and direction change no bit. A
+non-finite sigma after the forward pass raises ``OverflowError``.
 
 Memory per sweeping process is bounded beyond the graph. A block holds at
-most ``_CELL_BYTES`` = 48 bytes per cell (distance, sigma, then delta, and
-up to 32 for a level's cells, nodes, degrees and running sums) and
-``_PAIR_BYTES`` = 16 per recorded pair, at most m per source. B = _BUDGET
+most ``_CELL_BYTES`` = 48 bytes per cell (distance and sigma, then delta
+and bri, and up to 32 for a level's cells, nodes, degrees and running sums)
+and ``_PAIR_BYTES`` = 16 per recorded pair, at most m per source. B = _BUDGET
 // (48 n + 16 m), clamped to [1, _CHUNK] and evened out over a chunk, keeps
 both within ``_BUDGET`` = 8 MiB until one source needs more (B = 1). A
 table of 8 bytes per incidence maps each cell to its neighbors'. Pieces of
@@ -79,25 +82,17 @@ _CELL_BYTES = 48  # most bytes held at once per (node, source) cell
 _PAIR_BYTES = 16  # bytes per recorded DAG pair, at most m per source
 _PIECE = 1 << 13  # incidences per expansion piece, at most 64 bytes each
 
-PAIR_CONVENTION = "unordered"
-
 
 @dataclass(frozen=True)
 class CentralityResult:
-    """Per-node bc = bridgeness + local, and the source-side-filtered ``si``.
+    """Per-node bc = bridgeness + local.
 
-    ``si`` counts the dependency of j on a source s only when d(s, j) > 1.
-    This filters neighbors out of the source side of each pair but not the
-    target side, so a pair with exactly one endpoint adjacent to j keeps
-    half its weight: ``si`` equals bridgeness plus half of that mixed-pair
-    term, and 0 <= bridgeness <= si <= bc.
+    :func:`bridgeness_si_compat` puts ``si`` in the bridgeness field.
     """
 
     bc: np.ndarray
     bridgeness: np.ndarray
     local: np.ndarray
-    si: np.ndarray
-    convention: str = PAIR_CONVENTION
 
 
 def _block_width(n: int, m: int) -> int:
@@ -128,11 +123,12 @@ def _bottom_up(left, reach):
     return left + _PIECE <= reach
 
 
-def _sweep_block(indptr, indices, sources):
-    """Path counts, dependencies (n x B) and level-1 and level-2 DAG pairs.
+def _sweep_block(indptr, indices, sources, bridge):
+    """Dependencies, bri terms (None unless ``bridge``) and level-1 DAG pairs.
 
-    A cell is a (node, column) pair, flattened to node * B + column. Both
-    levels come in pieces of (pred, succ) pairs sorted by pred, then succ.
+    A cell is a (node, column) pair, flattened to node * B + column, and
+    both arrays are indexed by cell. The level-1 pairs come in pieces of
+    (pred, succ) pairs sorted by pred, then succ.
     """
     n, width = len(indptr) - 1, len(sources)
     degree = np.diff(indptr)
@@ -152,7 +148,7 @@ def _sweep_block(indptr, indices, sources):
             counts = degree[nodes]
             total = np.cumsum(counts)
             left -= total[-1]
-            bottom_up = d > 2 and _bottom_up(left, total[-1])  # p reads level 2 by pred
+            bottom_up = d > 2 and _bottom_up(left, total[-1])  # levels 1-2: top-down is faster
             if bottom_up:  # the unvisited cells find their preds at dist d - 1
                 cells = np.flatnonzero(dist < 0)
                 nodes = cells // width
@@ -178,41 +174,42 @@ def _sweep_block(indptr, indices, sources):
         raise OverflowError(f"shortest-path counts from node {source} overflow float64")
 
     delta = np.zeros(n * width)
-    # level-1 terms reach only the sources, whose delta is dropped anyway
-    for pairs in reversed(dag[1:]):
-        for pred, succ in pairs:
-            np.add.at(delta, pred, sigma[pred] / sigma[succ] * (1.0 + delta[succ]))
-    return sigma, delta.reshape(n, width), dag[0], dag[1] if len(dag) > 1 else []
+    bri = np.zeros(n * width) if bridge else None  # unused, it slowed the grid sweep 4%
+    # dag[level] holds the pairs whose pred is at that level; level-0 terms
+    # reach only the sources, whose delta is dropped anyway
+    for level in range(len(dag) - 1, 0, -1):
+        for pred, succ in dag[level]:
+            ratio = sigma[pred] / sigma[succ]
+            below = delta[succ]
+            np.add.at(delta, pred, ratio * (1.0 + below))
+            if bridge and level >= 2:
+                np.add.at(bri, pred, ratio * below)
+    return delta, bri, dag[0]
 
 
-def _accumulate_block(indptr, indices, sources, bc, l1, p):
-    """Add the (bc, l1, p) terms of ``sources`` into the partials, in source order."""
+def _accumulate_block(indptr, indices, sources, sums, bridge):
+    """Add the (bc, l1, bri) terms of ``sources`` into ``sums``, in source order."""
+    bc, l1, bri = sums
     width = len(sources)
-    sigma, delta, level1, level2 = _sweep_block(indptr, indices, sources)
+    delta, beta, level1 = _sweep_block(indptr, indices, sources, bridge)
     for k in range(width):
-        bc += delta[:, k]
+        bc += delta[k::width]
     for _, succ in level1:  # the sources' neighbors, in source order
-        np.add.at(l1, succ // width, delta.ravel()[succ])
-    for pred, succ in level2:  # segment q: 0.0, then the q-th pred's 1/sigma[succ]
-        new = np.diff(pred, prepend=-1) != 0
-        lead = np.flatnonzero(new)
-        terms = np.zeros(len(pred) + len(lead))
-        terms[np.arange(len(pred)) + np.cumsum(new)] = 1.0 / sigma[succ]
-        if len(lead):
-            np.add.at(p, pred[lead] // width, np.add.reduceat(terms, lead + np.arange(len(lead))))
+        np.add.at(l1, succ // width, delta[succ])
+    if bridge:
+        for k in range(width):
+            bri += beta[k::width]
 
 
-def _accumulate_chunk(indptr, indices, lo, hi):
-    """Sum per-source contributions to (bc, l1, p) over sources lo..hi-1 in order."""
+def _accumulate_chunk(indptr, indices, lo, hi, bridge):
+    """Sum per-source (bc, l1, bri) rows over sources lo..hi-1 in order."""
     n = len(indptr) - 1
-    bc = np.zeros(n)
-    l1 = np.zeros(n)
-    p = np.zeros(n)
+    sums = np.zeros((3, n))
     width = _block_width(n, len(indices) // 2)
     for start in range(lo, hi, width):
         sources = np.arange(start, min(start + width, hi))
-        _accumulate_block(indptr, indices, sources, bc, l1, p)
-    return bc, l1, p
+        _accumulate_block(indptr, indices, sources, sums, bridge)
+    return sums
 
 
 _WORKER_GRAPH: tuple | None = None
@@ -228,28 +225,27 @@ def _worker_chunk(bounds):
 
 
 def _sum_partials(n, partials):
-    totals = (np.zeros(n), np.zeros(n), np.zeros(n))
+    total = np.zeros((3, n))
     for partial in partials:
-        for total, part in zip(totals, partial):
-            total += part
-    return totals
+        total += partial
+    return total
 
 
-def _brandes_accumulate(graph: Graph, workers: int = 1):
-    """(ordered bc, l1, p) accumulators over all sources.
+def _brandes_accumulate(graph: Graph, workers: int = 1, bridge: bool = True):
+    """Ordered (bc, l1, bri) accumulators over all sources, as a 3 x n array.
 
-    Chunk boundaries are fixed, and chunk partials are reduced in chunk
-    order, so the result does not depend on the worker count. The pool
-    starts at most one process per chunk.
+    ``bri`` stays 0 unless ``bridge``. Chunk boundaries are fixed, and chunk
+    partials are reduced in chunk order, so the result does not depend on
+    the worker count. The pool starts at most one process per chunk.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     n = graph.node_count
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    bounds = [(lo, min(lo + _CHUNK, n), bridge) for lo in range(0, n, _CHUNK)]
     workers = min(workers, len(bounds))
     if workers <= 1:
-        return _sum_partials(n, (_accumulate_chunk(graph.indptr, graph.indices, lo, hi)
-                                 for lo, hi in bounds))
+        return _sum_partials(n, (_accumulate_chunk(graph.indptr, graph.indices, *chunk)
+                                 for chunk in bounds))
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_worker_init,
@@ -261,28 +257,29 @@ def _brandes_accumulate(graph: Graph, workers: int = 1):
         pool.shutdown(cancel_futures=True)
 
 
-def _decompose(bc_o, l1, p):
-    """Derive (bc, bridgeness, local, si) from ordered accumulators.
-
-    Exact arithmetic guarantees p <= l1 <= 2*l1 - p <= bc and the chain
-    below evaluates each quantity so float rounding cannot invert the
-    ordering 0 <= bridgeness <= si <= bc.
-    """
-    mixed = np.maximum(l1 - p, 0.0)
-    local_o = l1 + mixed  # == 2*l1 - p, but >= l1 in float too
-    bri_o = np.maximum(bc_o - local_o, 0.0)
-    si_o = np.maximum(bc_o - l1, 0.0)
-    return bc_o / 2.0, bri_o / 2.0, local_o / 2.0, si_o / 2.0
-
-
 def bridgeness_exact(graph: Graph, *, workers: int = 1) -> CentralityResult:
-    """Betweenness split into bridgeness and local terms, plus ``si``.
+    """Betweenness split into bridgeness and local terms.
 
     Bridgeness of j counts only pairs with both endpoints outside
     N(j) | {j}; local is the complement, so bc = bridgeness + local.
     """
-    bc, bri, local, si = _decompose(*_brandes_accumulate(graph, workers))
-    return CentralityResult(bc=bc, bridgeness=bri, local=local, si=si)
+    bc, _, bri = _brandes_accumulate(graph, workers) / 2.0
+    return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri)
+
+
+def bridgeness_si_compat(graph: Graph, *, workers: int = 1) -> CentralityResult:
+    """Betweenness with ``si`` in place of bridgeness, and local = bc - si.
+
+    ``si`` counts the dependency of j on a source s only when d(s, j) > 1.
+    This filters neighbors out of the source side of each pair but not the
+    target side, so a pair with exactly one endpoint adjacent to j keeps
+    half its weight: ``si`` equals bridgeness plus half of that mixed-pair
+    term, so bridgeness <= si <= bc.
+    """
+    bc, l1, _ = _brandes_accumulate(graph, workers, bridge=False)
+    si = (bc - l1) / 2.0
+    bc = bc / 2.0
+    return CentralityResult(bc=bc, bridgeness=si, local=bc - si)
 
 
 def locterm_by_degree(result: CentralityResult, graph: Graph) -> dict[int, float]:

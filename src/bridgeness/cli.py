@@ -18,6 +18,7 @@ from . import __version__
 from .centrality import (
     CentralityResult,
     bridgeness_exact,
+    bridgeness_si_compat,
     default_workers,
     locterm_by_degree,
     write_centrality_csv,
@@ -101,13 +102,8 @@ def _load_partition_file(path_str: str, table: NodeTable):
 
 
 def _compute_variant(graph, variant: str, workers: int) -> CentralityResult:
-    if variant == "exact":
-        return bridgeness_exact(graph, workers=workers)
-    if variant == "si-compat":
-        result = bridgeness_exact(graph, workers=workers)
-        return CentralityResult(bc=result.bc, bridgeness=result.si,
-                                local=result.bc - result.si, si=result.si)
-    raise CliError(f"unknown variant {variant!r}")
+    compute = bridgeness_si_compat if variant == "si-compat" else bridgeness_exact
+    return compute(graph, workers=workers)
 
 
 def cmd_centrality(args: argparse.Namespace) -> int:

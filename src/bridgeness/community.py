@@ -216,7 +216,3 @@ def louvain_passes(graph: Graph, config: LouvainConfig) -> LouvainRun:
         moves=tuple(moves), evaluations=tuple(evaluations),
     )
 
-
-def louvain(graph: Graph, config: LouvainConfig) -> Partition:
-    """Flat partition of the original nodes found by modularity optimization."""
-    return louvain_passes(graph, config).partition

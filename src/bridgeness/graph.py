@@ -171,7 +171,6 @@ def load_edge_list(
     stream: IO[str] | Iterable[str],
     *,
     delimiter: str | None = None,
-    skip_comments: bool = True,
 ) -> tuple[Graph, NodeTable]:
     """Parse ``src dst`` lines into a simple undirected graph.
 
@@ -188,7 +187,7 @@ def load_edge_list(
     commas = delimiter != ","  # fields split on commas cannot contain one
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
-        if not line or (skip_comments and line[0] == "#"):
+        if not line or line[0] == "#":
             continue
         pair = line.split(delimiter)  # None splits on whitespace
         if delimiter is not None:

@@ -27,7 +27,8 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
         fast = checkout == change
         return {"failed": 0, "environment": {"nproc": 2}, "metrics": {
             "pipeline_s": {"value": seed + (1.0 if fast else 2.0)},
-            "score": {"value": 1.0}}, "raw": {"wall_s": 0.5 * seed, "kernel_s": 0.05}}
+            "score": {"value": 1.0}}, "raw": {"wall_s": 0.5 * seed, "kernel_s": 0.05},
+            "usage": {"wall_s": 2.0, "cpu_s": 0.5 if seed == 3 else 2.0}}
 
     monkeypatch.setattr(bench_pairs, "run", fake_run)
     monkeypatch.chdir(tmp_path)
@@ -46,6 +47,45 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     raw = data["workloads"]["a"]["raw_per_pass"]["change"]
     assert raw["wall_s"]["runs"] == [0.5, 1.0, 1.5, 2.0]
     assert raw["kernel_s"]["median"] == 0.05
+    usage = data["workloads"]["a"]["usage"]["parent"]
+    assert usage["flagged_seeds"] == [3]
+    assert [r["cpu_per_wall"] for r in usage["runs"]] == [1.0, 1.0, 0.25, 1.0]
+
+
+STUB_RUN = """\
+import json, sys, time
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 2:  # waits instead of computing, as a run behind other processes does
+    time.sleep(0.3)
+else:
+    end = time.perf_counter() + 0.3
+    while time.perf_counter() < end:
+        pass
+print('environment {"nproc": 1}')
+print("passes: 1, of which traced 0; wall seconds per pass 0.300; "
+      "calibration kernel seconds 0.0500")
+print(json.dumps({"failed": 0, "metrics": {"pipeline_s": {"value": 0.3}}}))
+"""
+
+
+def test_usage_flags_a_run_that_waits_and_keeps_it(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower"}]}))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--seeds", "1-3", "--label", "t"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    for side in ("parent", "change"):
+        usage = record["usage"][side]
+        assert [r["seed"] for r in usage["runs"]] == [1, 2, 3]
+        assert all(r["wall_s"] >= 0.3 for r in usage["runs"])
+        waited = usage["runs"][1]
+        assert waited["cpu_s"] < 0.5 * waited["wall_s"]
+        assert 2 in usage["flagged_seeds"]
+        assert len(record["metrics"]["pipeline_s"][side]["runs"]) == 3  # flagged, still kept
 
 
 def test_raw_medians_read_the_passes_line():

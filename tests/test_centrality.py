@@ -3,6 +3,7 @@ import json
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from bridgeness import (
     Graph,
     bridgeness_exact,
+    bridgeness_si_compat,
     locterm_by_degree,
 )
 from bridgeness import centrality
@@ -22,6 +24,7 @@ from util import (
     complete_bipartite_graph,
     complete_graph,
     er_graph,
+    exact_decomposition,
     grid_graph,
     ladder_graph,
     path_graph,
@@ -88,9 +91,9 @@ def test_bruteforce_trivials():
 
 
 def test_si_compat_star_and_path():
-    assert np.all(bridgeness_exact(star_graph(6)).si == 0.0)
+    assert np.all(bridgeness_si_compat(star_graph(6)).bridgeness == 0.0)
     path = path_graph(5)
-    si = bridgeness_exact(path).si
+    si = bridgeness_si_compat(path).bridgeness
     # faithful source-side filter: sources at distance > 1 only; verified
     # against the instrumented half-weight pair enumeration
     assert np.allclose(si, [0.0, 1.0, 2.0, 1.0, 0.0])
@@ -102,7 +105,7 @@ def test_si_compat_dominates_exact():
     for _ in range(10):
         g = er_graph(int(rng.integers(5, 40)), rng.uniform(0.05, 0.5), rng)
         result = bridgeness_exact(g)
-        si = result.si
+        si = bridgeness_si_compat(g).bridgeness
         assert np.all(si >= result.bridgeness)
         assert np.all(si <= result.bc)
         assert np.allclose(si, si_compat_oracle(g), atol=1e-9)
@@ -132,7 +135,7 @@ def test_decomposition_and_ordering_invariants():
     graphs += [er_graph(int(rng.integers(5, 50)), rng.uniform(0.02, 0.4), rng) for _ in range(15)]
     for g in graphs:
         result = bridgeness_exact(g)
-        si = result.si
+        si = bridgeness_si_compat(g).bridgeness
         scale = np.maximum(np.abs(result.bc), 1.0)
         assert np.all(np.abs(result.bc - (result.bridgeness + result.local)) / scale < 1e-9)
         assert np.all(result.bridgeness >= 0.0)
@@ -158,8 +161,29 @@ def test_decomposition_invariants_on_small_graphs(g):
     scale = np.maximum(np.abs(result.bc), 1.0)
     assert np.all(np.abs(result.bc - (result.bridgeness + result.local)) / scale < 1e-9)
     assert np.all(result.bridgeness >= 0.0)
-    assert np.all(result.bridgeness <= result.si)
-    assert np.all(result.si <= result.bc)
+    si = bridgeness_si_compat(g, workers=1).bridgeness
+    assert np.all(result.bridgeness <= si)
+    assert np.all(si <= result.bc)
+
+
+def test_bridgeness_is_within_4_ulp_of_the_exact_oracle():
+    # bridgeness is a sum of non-negative terms, so one that is exactly 0
+    # comes out as 0.0, not as the rounding residue of a difference
+    rng = np.random.default_rng(41)
+    zeros = nonzeros = 0
+    for _ in range(200):
+        g = er_graph(int(rng.integers(4, 22)), rng.uniform(0.1, 0.35), rng)
+        result = bridgeness_exact(g, workers=1)
+        exact_bc, exact_bri = exact_decomposition(g)
+        for got, exact in ((result.bc, exact_bc), (result.bridgeness, exact_bri)):
+            for value, want in zip(got.tolist(), exact):
+                if want == 0:
+                    assert value == 0.0
+                    zeros += 1
+                else:
+                    assert abs(Fraction(value) - want) <= 4 * Fraction(np.spacing(float(want)))
+                    nonzeros += 1
+    assert zeros > 1000 and nonzeros > 1000
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -170,7 +194,7 @@ def test_level_direction_does_not_change_the_accumulators(g):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(centrality, "_bottom_up", lambda left, reach, up=bottom_up: up)
             runs.append(centrality._brandes_accumulate(g, workers=1))
-    for top_down, bottom_up in zip(*runs):  # bc, l1, p
+    for top_down, bottom_up in zip(*runs):  # bc, l1, bri
         assert np.array_equal(top_down, bottom_up)
 
 
@@ -194,7 +218,8 @@ def test_chunk_memory_stays_within_the_documented_bound(monkeypatch, name, direc
              + 64 * (centrality._PIECE + int(graph.degrees.max())) + 3 * 8 * n)
     tracemalloc.start()
     try:
-        centrality._accumulate_chunk(graph.indptr, graph.indices, 0, min(centrality._CHUNK, n))
+        centrality._accumulate_chunk(graph.indptr, graph.indices, 0, min(centrality._CHUNK, n),
+                                     True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,11 +230,12 @@ def test_worker_count_does_not_change_results():
     rng = np.random.default_rng(17)
     edges = [(i, j) for i in range(140) for j in range(i + 1, 140) if rng.random() < 0.05]
     g = Graph.from_edges(150, edges)  # 3 chunks, the last partial; nodes 140..149 isolated
-    serial = bridgeness_exact(g, workers=1)
-    for workers in (2, 3):
-        parallel = bridgeness_exact(g, workers=workers)
-        for field in ("bc", "bridgeness", "local", "si"):
-            assert np.array_equal(getattr(serial, field), getattr(parallel, field))
+    for variant in (bridgeness_exact, bridgeness_si_compat):
+        serial = variant(g, workers=1)
+        for workers in (2, 3):
+            parallel = variant(g, workers=workers)
+            for field in ("bc", "bridgeness", "local"):
+                assert np.array_equal(getattr(serial, field), getattr(parallel, field))
     with pytest.raises(ValueError, match="workers"):
         bridgeness_exact(g, workers=0)
 

@@ -184,6 +184,27 @@ def test_evaluate_writes_null_correlation_for_constant_local_ratios(tmp_path):
     assert metrics["locterm_pearson_p"] is None
 
 
+def test_zero_bridgeness_is_written_as_zero(tmp_path):
+    # no pair has both ends outside a node's closed neighborhood; a residue
+    # of bc - local here once gave local ratios 1, 1 and 1 - 2**-53, and r = -0.707
+    edges = tmp_path / "g.edges"
+    edges.write_text("a b\nb c\nc d\nd e\ne a\nb d\nf a\nf g\ng c\nh b\n")
+    part = tmp_path / "p.csv"
+    part.write_text("a,0\nb,0\nc,0\nd,0\ne,0\nf,1\ng,1\nh,1\n")
+    scores = tmp_path / "scores.csv"
+    assert main(["centrality", "--input", str(edges), "--output", str(scores),
+                 "--workers", "1"]) == 0
+    rows = [line.split(",") for line in scores.read_text().splitlines()[1:]]
+    assert len(rows) == 8 and {row[3] for row in rows} == {"0"}
+    assert any(float(row[2]) > 0 for row in rows)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--input", str(edges), "--partition", str(part),
+                 "--output-dir", str(out), "--workers", "1"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["locterm_pearson_r"] is None
+    assert metrics["locterm_pearson_p"] is None
+
+
 @pytest.mark.parametrize("command", ["centrality", "evaluate", "report"])
 def test_overflowing_path_counts_exit_1(tmp_path, capsys, command):
     ladder = ladder_graph(660, 3)  # 3**d shortest paths overflow float64 past d = 646

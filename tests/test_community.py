@@ -13,7 +13,6 @@ from bridgeness import (
     Partition,
     community,
     generate,
-    louvain,
     louvain_passes,
     modularity,
 )
@@ -67,7 +66,7 @@ def test_modularity_empty_graph_errors():
 
 def test_louvain_recovers_two_cliques():
     g = two_cliques(10)
-    part = louvain(g, LouvainConfig(seed=1))
+    part = louvain_passes(g, LouvainConfig(seed=1)).partition
     assert part.community_count == 2
     assert len(set(part.labels[:10])) == 1
     assert len(set(part.labels[10:])) == 1
@@ -84,7 +83,7 @@ def test_louvain_recovers_two_cliques():
 
 def test_louvain_complete_graph_single_community():
     g = complete_graph(6)
-    part = louvain(g, LouvainConfig(seed=2))
+    part = louvain_passes(g, LouvainConfig(seed=2)).partition
     assert part.community_count == 1
     # brute force over all set partitions of 6 nodes: nothing beats one block
     best = max(
@@ -104,8 +103,8 @@ def _labels_of(blocks, n):
 
 def test_louvain_same_seed_same_partition():
     g = two_cliques(8)
-    a = louvain(g, LouvainConfig(seed=9))
-    b = louvain(g, LouvainConfig(seed=9))
+    a = louvain_passes(g, LouvainConfig(seed=9)).partition
+    b = louvain_passes(g, LouvainConfig(seed=9)).partition
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -122,13 +121,13 @@ def test_louvain_passes_monotone():
 
 def test_louvain_beats_trivial_partition():
     g = two_cliques(6)
-    part = louvain(g, LouvainConfig(seed=0))
+    part = louvain_passes(g, LouvainConfig(seed=0)).partition
     assert modularity(g, part) > 0.0
 
 
 def test_louvain_requires_edges():
     with pytest.raises(ValueError):
-        louvain(Graph.from_edges(4, []), LouvainConfig(seed=0))
+        louvain_passes(Graph.from_edges(4, []), LouvainConfig(seed=0))
 
 
 def test_config_validation():

@@ -1,15 +1,18 @@
 """Golden regression digests of the engine accumulators, generator and CLI outputs.
 
-The SHA-256 digests below were recorded from the per-source Brandes engine
-that the block engine replaced. They pin the ordered accumulators ``bc``,
-``l1`` and ``p`` bit for bit, and the ``centrality`` CSV bytes, so a change
-to the engine that reorders a floating-point sum fails here even when it
-stays within every tolerance of the oracle tests. The ``lfr1200`` digests
-were recorded from the block engine whose forward pass was a sparse
-matrix product, at 18 sources per block with a 10-wide tail block in each
-chunk. The same digests must come out at any block width and piece size,
-and whichever direction, top-down or bottom-up, each BFS level is reached
-from.
+The SHA-256 digests below pin the ordered accumulators ``bc``, ``l1`` and
+``bri`` bit for bit, and the ``centrality`` CSV bytes, so a change to the
+engine that reorders a floating-point sum fails here even when it stays
+within every tolerance of the oracle tests. The ``bc`` and ``l1`` digests
+were recorded from the per-source Brandes engine that the block engine
+replaced; the ``lfr1200`` ones from the block engine whose forward pass was
+a sparse matrix product, at 18 sources per block with a 10-wide tail block
+in each chunk. The ``bri`` digests were recorded from the first engine that
+summed bridgeness directly in the backward pass, and the si-compat CSV
+digest of the grid from the engine before it, which formed ``si`` from the
+same ``bc`` and ``l1``. The same digests must come out at any block width
+and piece size, and whichever direction, top-down or bottom-up, each BFS
+level is reached from.
 
 The generator digests were recorded from the rewiring phase that drew each
 degree-proportional target with ``rng.choice(n, p=degrees / degrees.sum())``.
@@ -37,31 +40,31 @@ from bridgeness.cli import main
 
 from util import grid_graph, small_lfr_graph, star_graph
 
-GOLDEN = {
+GOLDEN = {  # ordered bc, l1, bri
     "grid30": (
         "9d4cff5fba19589a7d0884ded598df41a91ce045742044c4401c7e689437fcf5",
         "925c8e256dfd45c2b971559e6c9a7f24d474ac5a9a380414102c759f4bbfca5e",
-        "dc223263d7a82132e87904b6739e4fdd3a75c4599d1ef91033bb5e0de79e8274",
+        "90803a7795bc42f505f6b203e4124224878e4089ae7e92ad3a05b1ea485c4c13",
     ),
     "lfr1200": (
         "369150c68d1cb8a3f79c5bd6a2f6b69173fa8f4ee45e71ca04caef82c1bb3d77",
         "b3a3797241b2705610ff7d63dabde9cb2d13b46b2b63f7fe5e3cab34dd419d63",
-        "887231e0360f69ece11a5e3644fa92d514a17f45140ad87894589335286d8c96",
+        "27e4d32fc5bf81a2f478f0b684a1a0b43a0f7766ae8c34e37456e23baa16b8e7",
     ),
     "lfr300": (
         "0833b55612233aa53ea4488cab65d1be2472f3b1864211d03e997eafd4c37bf1",
         "3d3bc8bf427bc7f3a29fcf2a00e37586c8e28682335247fdda32232df76d3113",
-        "f21856597d832819b27a0d8b366b178a5d87903f6f45dba1ede22092319a24c6",
+        "f9b75e7757f57e2c3add58711cfdd871fe0081c9b1fa945ec4a5a619ba098017",
     ),
     "star50": (
         "5b553b4a4051769bd8b25b60013e39f879e63d97c25f74f7277c372f110765b5",
         "5b553b4a4051769bd8b25b60013e39f879e63d97c25f74f7277c372f110765b5",
-        "5b553b4a4051769bd8b25b60013e39f879e63d97c25f74f7277c372f110765b5",
+        "c76903cde8580d1c809ac5352aab33af5a310ad05126294d66e06db880c463ed",
     ),
     "disconnected": (
         "75e99c2877a9fd508e97842c6c5cd13f30a213c0f49bd22d1430189142581fab",
         "ccec0d368e6ca1c4e508a27d2bbdcb2550732b27583ebfd6f1da3f014e0732bf",
-        "e787d83e4cfbdcd281477066b4eead34ed80fb516f5ce7d113d79a216304a46a",
+        "834a709ba2534ebe3ee1397fd4f7bd288b2acc1d20a08d6c862dcd99b6f04400",
     ),
     "isolated": (
         "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb",
@@ -145,6 +148,10 @@ CLI_CSV = {
         "a,3,4.5,1,3.5\nb,3,3,0.75,2.25\nc,2,0,0,0\nd,3,1.5,0,1.5\ne,2,1,0.25,0.75\nf,1,0,0,0\n"
     ),
 }
+
+
+# ``centrality --variant si-compat`` on the grid30 golden graph
+GRID_SI_COMPAT_CSV = "258d021f3c3ea3560bfe293916390b548100eae3d1811c59af8bc9af58d8dc97"
 
 
 def golden_graph(name: str) -> Graph:
@@ -250,6 +257,15 @@ def test_centrality_csv_bytes(tmp_path, variant):
     assert main(["centrality", "--input", str(edges), "--output", str(out),
                  "--variant", variant, "--workers", "1"]) == 0
     assert out.read_bytes() == CLI_CSV[variant].encode()
+
+
+def test_grid_si_compat_csv_bytes(tmp_path):
+    edges = tmp_path / "grid.edges"
+    edges.write_text("".join(f"{u} {v}\n" for u, v in golden_graph("grid30").edges.tolist()))
+    out = tmp_path / "scores.csv"
+    assert main(["centrality", "--input", str(edges), "--output", str(out),
+                 "--variant", "si-compat", "--workers", "1"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_SI_COMPAT_CSV
 
 
 def louvain_graph(name: str) -> Graph:

@@ -223,14 +223,14 @@ def edge_list_lines(draw, delimiter):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data(), delimiter=st.sampled_from([None, ","]), skip_comments=st.booleans())
-def test_load_edge_list_matches_reference_parser(data, delimiter, skip_comments):
+@given(data=st.data(), delimiter=st.sampled_from([None, ","]))
+def test_load_edge_list_matches_reference_parser(data, delimiter):
     lines = data.draw(edge_list_lines(delimiter))
     try:
-        expected = reference_edge_list(lines, delimiter=delimiter, skip_comments=skip_comments)
+        expected = reference_edge_list(lines, delimiter=delimiter)
     except EdgeListError as exc:
         with pytest.raises(EdgeListError) as raised:
-            load_edge_list(lines, delimiter=delimiter, skip_comments=skip_comments)
+            load_edge_list(lines, delimiter=delimiter)
         assert str(raised.value) == str(exc)
         return
     records: list[logging.LogRecord] = []
@@ -239,7 +239,7 @@ def test_load_edge_list_matches_reference_parser(data, delimiter, skip_comments)
     logger = logging.getLogger("bridgeness.graph")
     logger.addHandler(handler)
     try:
-        graph, table = load_edge_list(lines, delimiter=delimiter, skip_comments=skip_comments)
+        graph, table = load_edge_list(lines, delimiter=delimiter)
     finally:
         logger.removeHandler(handler)
     ids, edges, self_loops, duplicates = expected

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -65,7 +67,7 @@ def small_lfr_graph() -> Graph:
     return generate(config).graph
 
 
-def reference_edge_list(lines, *, delimiter=None, skip_comments=True):
+def reference_edge_list(lines, *, delimiter=None):
     """Plain-Python edge-list parser, one dict lookup per token.
 
     Returns ``(ids, edges, self_loops, duplicates)``: IDs in order of first
@@ -87,7 +89,7 @@ def reference_edge_list(lines, *, delimiter=None, skip_comments=True):
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or (skip_comments and line.startswith("#")):
+        if not line or line.startswith("#"):
             continue
         if delimiter is None:
             tokens = line.split()
@@ -109,6 +111,24 @@ def reference_edge_list(lines, *, delimiter=None, skip_comments=True):
     return ids, sorted(edges), self_loops, duplicates
 
 
+def _path_counts(adj, s):
+    """BFS distances (-1 if unreached) and exact shortest-path counts from s."""
+    d = [-1] * len(adj)
+    sig = [0] * len(adj)
+    d[s] = 0
+    sig[s] = 1
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if d[w] < 0:
+                d[w] = d[v] + 1
+                queue.append(w)
+            if d[w] == d[v] + 1:
+                sig[w] += sig[v]
+    return d, sig
+
+
 def all_pairs_counts(graph: Graph):
     """Distances and shortest-path counts by plain BFS, independent of the library engine."""
     n = graph.node_count
@@ -116,24 +136,36 @@ def all_pairs_counts(graph: Graph):
     dist = np.full((n, n), np.inf)
     sigma = np.zeros((n, n))
     for s in range(n):
-        d = [-1] * n
-        sig = [0.0] * n
-        d[s] = 0
-        sig[s] = 1.0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if d[w] < 0:
-                    d[w] = d[v] + 1
-                    queue.append(w)
-                if d[w] == d[v] + 1:
-                    sig[w] += sig[v]
+        d, sig = _path_counts(adj, s)
         for t in range(n):
             if d[t] >= 0:
                 dist[s, t] = d[t]
                 sigma[s, t] = sig[t]
     return dist, sigma
+
+
+def exact_decomposition(graph: Graph) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact (bc, bridgeness) per node: Python-int path counts, ``Fraction`` sums.
+
+    Each unordered pair {i, k} gives every j with d(i, j) + d(j, k) = d(i, k)
+    the share sigma_ij * sigma_jk / sigma_ik, into bridgeness too when
+    neither endpoint is adjacent to j.
+    """
+    n = graph.node_count
+    adj = [list(map(int, graph.neighbors(v))) for v in range(n)]
+    dist, sigma = zip(*(_path_counts(adj, s) for s in range(n))) if n else ((), ())
+    bc = [Fraction(0)] * n
+    bri = [Fraction(0)] * n
+    for i, k in combinations(range(n), 2):
+        if dist[i][k] < 0:
+            continue
+        for j in range(n):
+            if j not in (i, k) and dist[i][j] >= 0 and dist[i][j] + dist[j][k] == dist[i][k]:
+                share = Fraction(sigma[i][j] * sigma[j][k], sigma[i][k])
+                bc[j] += share
+                if dist[i][j] > 1 and dist[j][k] > 1:
+                    bri[j] += share
+    return bc, bri
 
 
 def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
@@ -142,13 +174,12 @@ def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
     For every node j and every unordered pair {i, k}, j is on a shortest
     i-k path iff d(i, j) + d(j, k) = d(i, k), in which case it carries
     sigma_ij * sigma_jk / sigma_ik. The neighborhood filter is applied
-    literally for the bridgeness term, and to the source side only for si.
+    literally for the bridgeness term.
     """
     n = graph.node_count
     dist, sigma = all_pairs_counts(graph)
     bc = np.zeros(n)
     bri = np.zeros(n)
-    si = np.zeros(n)
     sigma_safe = np.where(sigma > 0, sigma, 1.0)
     for j in range(n):
         through = (dist[:, j][:, None] + dist[j, :][None, :]) == dist
@@ -159,11 +190,10 @@ def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
         np.fill_diagonal(frac, 0.0)
         bc[j] = frac.sum() / 2.0
         nbrs = graph.neighbors(j)
-        frac[nbrs, :] = 0.0  # ordered pairs whose source is not adjacent to j
-        si[j] = frac.sum() / 2.0
+        frac[nbrs, :] = 0.0
         frac[:, nbrs] = 0.0
         bri[j] = frac.sum() / 2.0
-    return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri, si=si)
+    return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri)
 
 
 def si_compat_oracle(graph: Graph) -> np.ndarray:

@@ -11,7 +11,11 @@ quartiles and every run's value; per metric, the pairs in which the change
 was better; and each side's environment line and failed checks. Under
 ``raw_per_pass`` it summarises each run's median unscaled wall seconds and
 calibration-kernel seconds per pass, from which the scaled ``pipeline_s``
-is formed. The
+is formed. Under ``usage`` it records each run's wall seconds and the CPU
+seconds of its child processes (``RUSAGE_CHILDREN`` before and after), and
+lists per side the seeds whose CPU/wall is below ``FLAG_BELOW`` of that
+side's median: such a run waited for the CPU, most likely behind other
+processes. Flagged runs are kept in every summary, never dropped. The
 workload is written under its name into ``BENCH_<label>.json`` in the
 current directory, so runs for several workloads share one file.
 """
@@ -20,20 +24,30 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FLAG_BELOW = 0.85  # of the side's median CPU/wall
+
+
+def child_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its result object and environment line."""
+    """One perfbench run: its result object, environment line and usage."""
+    cpu, start = child_cpu_s(), time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
+    usage = {"wall_s": time.perf_counter() - start, "cpu_s": child_cpu_s() - cpu}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(
@@ -43,6 +57,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result["environment"] = json.loads(env[0].split(" ", 1)[1]) if env else None
     passes = next(line for line in lines if line.startswith("passes: "))
     result["raw"] = raw_medians(passes)
+    result["usage"] = usage
     return result
 
 
@@ -51,6 +66,15 @@ def raw_medians(passes_line: str) -> dict:
     _, wall, kernel = passes_line.split("; ")
     return {name: statistics.median(float(v) for v in re.findall(r"\d+\.\d+", text))
             for name, text in (("wall_s", wall), ("kernel_s", kernel))}
+
+
+def usage_summary(seeds: list[int], results: list[dict]) -> dict:
+    """Each run's wall and CPU seconds, and the seeds flagged as contended."""
+    runs = [{"seed": seed, **r["usage"], "cpu_per_wall": r["usage"]["cpu_s"] / r["usage"]["wall_s"]}
+            for seed, r in zip(seeds, results)]
+    median = statistics.median(r["cpu_per_wall"] for r in runs)
+    return {"runs": runs, "cpu_per_wall_median": median,
+            "flagged_seeds": [r["seed"] for r in runs if r["cpu_per_wall"] < FLAG_BELOW * median]}
 
 
 def seed_range(text: str) -> list[int]:
@@ -98,7 +122,12 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": {},
         "raw_per_pass": {side: {name: summary([r["raw"][name] for r in runs[side]])
                                 for name in ("wall_s", "kernel_s")} for side in SIDES},
+        "usage": {side: usage_summary(args.seeds, runs[side]) for side in SIDES},
     }
+    for side in SIDES:
+        if record["usage"][side]["flagged_seeds"]:
+            print(f"{side}: CPU/wall below {FLAG_BELOW} of the median on seeds "
+                  f"{record['usage'][side]['flagged_seeds']} (kept)")
     for name, direction in better.items():
         pairs = list(zip(values("parent", name), values("change", name)))
         wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
