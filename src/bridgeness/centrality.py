@@ -59,7 +59,11 @@ and ``_PAIR_BYTES`` = 16 per recorded pair, at most m per source. B = _BUDGET
 both within ``_BUDGET`` = 8 MiB until one source needs more (B = 1). A
 table of 8 bytes per incidence maps each cell to its neighbors'. Pieces of
 about ``_PIECE`` = 8192 incidences, at most 64 bytes each, hold at most
-64 * (8192 + max degree) bytes.
+64 * (8192 + max degree) bytes. The recorded DAG also holds a list per BFS
+level and a tuple and two arrays per piece, about 0.4 KB per level (the
+tests bound it by 512 bytes), which only deep graphs feel: 4.6 MiB on one
+block of a 12000-node path. B does not reserve it: n levels a priori would
+halve B on LFR graphs at n = 10000 and take the whole budget by n = 21000.
 
 Sources are processed in fixed chunks of ``_CHUNK`` and chunk partials are
 reduced in chunk order, so results are identical for any worker count.

@@ -196,7 +196,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "achieved_mu": net.achieved_mu,
             "dropped_stubs": net.dropped_stubs,
             "edge_count": net.graph.edge_count,
+            "rewire_attempts": net.rewire_attempts,
             "rewired_node_count": len(net.rewired_nodes),
+            "target_rejections": net.target_rejections,
         },
     )
     print(f"wrote {edges_path} ({net.graph.edge_count} edges)")

@@ -28,6 +28,7 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
         return {"failed": 0, "environment": {"nproc": 2}, "metrics": {
             "pipeline_s": {"value": seed + (1.0 if fast else 2.0)},
             "score": {"value": 1.0}}, "raw": {"wall_s": 0.5 * seed, "kernel_s": 0.05},
+            "passes": 10 + seed if fast else 8,
             "usage": {"wall_s": 2.0, "cpu_s": 0.5 if seed == 3 else 2.0}}
 
     monkeypatch.setattr(bench_pairs, "run", fake_run)
@@ -47,6 +48,10 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     raw = data["workloads"]["a"]["raw_per_pass"]["change"]
     assert raw["wall_s"]["runs"] == [0.5, 1.0, 1.5, 2.0]
     assert raw["kernel_s"]["median"] == 0.05
+    passes = data["workloads"]["a"]["passes"]
+    assert passes["change"]["runs"] == [11, 12, 13, 14]
+    assert passes["change"]["median"] == 12.5
+    assert passes["parent"]["median"] == 8
     usage = data["workloads"]["a"]["usage"]["parent"]
     assert usage["flagged_seeds"] == [3]
     assert [r["cpu_per_wall"] for r in usage["runs"]] == [1.0, 1.0, 0.25, 1.0]
@@ -62,7 +67,7 @@ else:
     while time.perf_counter() < end:
         pass
 print('environment {"nproc": 1}')
-print("passes: 1, of which traced 0; wall seconds per pass 0.300; "
+print(f"passes: {seed + 1}, of which traced 0; wall seconds per pass 0.300; "
       "calibration kernel seconds 0.0500")
 print(json.dumps({"failed": 0, "metrics": {"pipeline_s": {"value": 0.3}}}))
 """
@@ -86,9 +91,17 @@ def test_usage_flags_a_run_that_waits_and_keeps_it(tmp_path, monkeypatch):
         assert waited["cpu_s"] < 0.5 * waited["wall_s"]
         assert 2 in usage["flagged_seeds"]
         assert len(record["metrics"]["pipeline_s"][side]["runs"]) == 3  # flagged, still kept
+        assert record["passes"][side]["runs"] == [2, 3, 4]  # parsed from each run's output
+
+
+PASSES_LINE = ("passes: 3, of which traced 0; wall seconds per pass 1.300, 1.200, 1.250; "
+               "calibration kernel seconds 0.0522, 0.0530, 0.0510")
 
 
 def test_raw_medians_read_the_passes_line():
-    line = ("passes: 3, of which traced 0; wall seconds per pass 1.300, 1.200, 1.250; "
-            "calibration kernel seconds 0.0522, 0.0530, 0.0510")
-    assert bench_pairs.raw_medians(line) == {"wall_s": 1.25, "kernel_s": 0.0522}
+    assert bench_pairs.raw_medians(PASSES_LINE) == {"wall_s": 1.25, "kernel_s": 0.0522}
+
+
+def test_pass_count_reads_the_passes_line():
+    assert bench_pairs.pass_count(PASSES_LINE) == 3
+    assert bench_pairs.pass_count("passes: 12, of which traced 1; wall seconds per pass") == 12

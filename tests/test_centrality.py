@@ -20,6 +20,7 @@ from bridgeness import centrality
 from bridgeness.centrality import write_centrality_csv, centrality_records
 
 from util import (
+    _path_counts,
     bridgeness_bruteforce,
     complete_bipartite_graph,
     complete_graph,
@@ -198,6 +199,32 @@ def test_level_direction_does_not_change_the_accumulators(g):
         assert np.array_equal(top_down, bottom_up)
 
 
+# measured: about 400 bytes of list, tuple and array objects per recorded
+# BFS level of a block (a 10000-node path, one piece per level)
+LEVEL_BYTES = 512
+
+
+def chunk_peak_and_bound(graph, hi):
+    """``tracemalloc`` peak of sweeping sources 0..hi-1 as one chunk, and its
+    documented bound: the block's cells and recorded pairs, the 8-byte step
+    table per incidence, one expansion piece, the chunk's three partial sums
+    and ``LEVEL_BYTES`` per BFS level of its deepest block."""
+    n, m = graph.node_count, graph.edge_count
+    width = centrality._block_width(n, m)
+    adj = [graph.neighbors(v).tolist() for v in range(n)]
+    levels = 1 + max(max(_path_counts(adj, s)[0]) for s in range(hi))
+    bound = (width * (centrality._CELL_BYTES * n + centrality._PAIR_BYTES * m) + 16 * m
+             + 64 * (centrality._PIECE + int(graph.degrees.max())) + 3 * 8 * n
+             + LEVEL_BYTES * levels)
+    tracemalloc.start()
+    try:
+        centrality._accumulate_chunk(graph.indptr, graph.indices, 0, hi, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, bound
+
+
 @pytest.mark.parametrize("direction", ["natural", "top-down", "bottom-up"])
 @pytest.mark.parametrize("name", ["lfr300", "grid30", "bipartite50x200+tail2000"])
 def test_chunk_memory_stays_within_the_documented_bound(monkeypatch, name, direction):
@@ -210,19 +237,17 @@ def test_chunk_memory_stays_within_the_documented_bound(monkeypatch, name, direc
              "bipartite50x200+tail2000": lambda: complete_bipartite_graph(50, 200, 2000)}[name]()
     if direction != "natural":
         monkeypatch.setattr(centrality, "_bottom_up", lambda left, reach: direction == "bottom-up")
-    n, m = graph.node_count, graph.edge_count
-    width = centrality._block_width(n, m)
-    # the block's cells and recorded pairs, the 8-byte step table per
-    # incidence, one expansion piece, and the chunk's three partial sums
-    bound = (width * (centrality._CELL_BYTES * n + centrality._PAIR_BYTES * m) + 16 * m
-             + 64 * (centrality._PIECE + int(graph.degrees.max())) + 3 * 8 * n)
-    tracemalloc.start()
-    try:
-        centrality._accumulate_chunk(graph.indptr, graph.indices, 0, min(centrality._CHUNK, n),
-                                     True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, bound = chunk_peak_and_bound(graph, min(centrality._CHUNK, graph.node_count))
+    assert peak <= bound
+
+
+def test_deep_block_memory_stays_within_the_documented_bound():
+    # 10000 levels of a few pairs each: the per-level objects, not the
+    # pairs, exceed the cell and pair terms (9.4 MiB against 8.8 MiB without
+    # the level term). Every block of the chunk is as deep, so one is swept.
+    graph = path_graph(10000)
+    peak, bound = chunk_peak_and_bound(
+        graph, centrality._block_width(graph.node_count, graph.edge_count))
     assert peak <= bound
 
 

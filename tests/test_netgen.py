@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -100,10 +101,11 @@ def test_rewire_unreachable_target_errors():
     # is already adjacent, so the mu target cannot be met
     labels = np.array([0, 0, 1, 1])
     adjacency = [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
-    state = _WiringState(labels=labels, adjacency=adjacency,
-                         intra_edges=[(0, 1), (2, 3)], inter_count=4, edge_count=6)
+    state = _WiringState(labels=labels, adjacency=adjacency, nodes=list(range(4)),
+                         selection="node", inter_count=4)
+    assert state.edge_count == 6
     with pytest.raises(GenerationError, match="after 200 attempts"):
-        _rewire_to_mu(state, 0.95, np.random.default_rng(0), selection="node",
+        _rewire_to_mu(state, 0.95, np.random.default_rng(0),
                       max_target_retries=8, max_attempts=200)
 
 
@@ -111,18 +113,31 @@ def test_rewiring_exhaustion_errors():
     # drain all intra links with an unreachable target
     labels = np.array([0, 0, 1, 1])
     adjacency = [{1}, {0}, {3}, {2}]
-    state = _WiringState(labels=labels, adjacency=adjacency,
-                         intra_edges=[(0, 1), (2, 3)], inter_count=0, edge_count=2)
-    rewired = _rewire_to_mu(state, 0.99, np.random.default_rng(1), selection="node",
-                            max_target_retries=8, max_attempts=500)
+    state = _WiringState(labels=labels, adjacency=adjacency, nodes=list(range(4)),
+                         selection="node")
+    rewired, attempts, _ = _rewire_to_mu(
+        state, 0.99, np.random.default_rng(1), max_target_retries=8, max_attempts=500)
     assert state.mu() == 1.0
     assert rewired  # both intra edges converted before the target was hit
+    assert attempts >= 2  # one per converted link at least
+
+
+def test_rewiring_an_empty_graph_errors():
+    state = _WiringState(labels=np.array([0, 1]), adjacency=[set(), set()], nodes=[0, 1],
+                         selection="node")
+    with pytest.raises(GenerationError, match="no intra-community links left"):
+        _rewire_to_mu(state, 0.5, np.random.default_rng(0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(2, 40), communities=st.integers(1, 5), p=st.floats(0.05, 0.6),
        steps=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
 def test_wiring_state_intra_lists_follow_drops_and_adds(n, communities, p, steps, seed):
+    for selection in ("node", "link"):  # the same graph and steps for each rule's index
+        check_wiring_state(selection, n, communities, p, steps, seed)
+
+
+def check_wiring_state(selection, n, communities, p, steps, seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(communities, size=n)
     adjacency = [set() for _ in range(n)]
@@ -134,24 +149,37 @@ def test_wiring_state_intra_lists_follow_drops_and_adds(n, communities, p, steps
                 adjacency[v].add(u)
                 if labels[u] == labels[v]:
                     intra_edges.append((u, v))
-    state = _WiringState(labels=labels, adjacency=adjacency, intra_edges=list(intra_edges),
-                         edge_count=sum(map(len, adjacency)) // 2)
+    edge_count = sum(map(len, adjacency)) // 2
+    state = _WiringState(labels=labels, adjacency=adjacency, nodes=list(range(n)),
+                         selection=selection, intra_edges=list(intra_edges),
+                         inter_count=edge_count - len(intra_edges))
+    assert state.edge_count == edge_count
 
     def expected(v):
         return sorted(w for w in adjacency[v] if labels[w] == labels[v])
 
-    assert all(state.intra[v] == expected(v) for v in range(n))
+    def check():
+        if selection == "node":
+            assert all(state.intra[v] == expected(v) for v in range(n))
+        else:
+            assert sorted(state.intra_edges) == [
+                (u, v) for u in range(n) for v in expected(u) if u < v]
+            assert state.intra_pos == {e: i for i, e in enumerate(state.intra_edges)}
+
+    check()
+    added = 0
     for _ in range(steps):
-        if state.intra_edges and rng.random() < 0.6:
-            u, v = state.intra_edges[int(rng.integers(len(state.intra_edges)))]
+        intra = [(u, v) for u in range(n) for v in expected(u) if u < v]
+        if intra and rng.random() < 0.6:
+            u, v = intra[int(rng.integers(len(intra)))]
             state.drop_intra(*((u, v) if rng.random() < 0.5 else (v, u)))
         else:
             u, v = (int(x) for x in rng.integers(n, size=2))
             if labels[u] != labels[v] and v not in adjacency[u]:
                 state.add_inter(u, v)
-        assert all(state.intra[v] == expected(v) for v in range(n))
-    assert sorted(state.intra_edges) == sorted(
-        (u, v) for u in range(n) for v in state.intra[u] if u < v)
+                added += 1
+        check()
+    assert state.inter_count == edge_count - len(intra_edges) + added
 
 
 def test_bias_result_fields():
@@ -187,6 +215,59 @@ def test_dropped_stubs_returned_and_logged(caplog):
     assert net.dropped_stubs > 0
     assert net.dropped_stubs == sum(logged)
     assert int(net.graph.degrees.sum()) == 2 * net.graph.edge_count
+
+
+def test_generate_peak_memory_at_n_10000():
+    # wiring keeps only the index the node rule samples, every set shares
+    # one int per node, and the sets are freed before the CSR build; the
+    # peak was 36 MiB when both rules' indexes and a fresh int per stub
+    # were kept up to the CSR build
+    tracemalloc.start()
+    try:
+        net = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+    assert net.graph.edge_count == 75080
+
+
+def test_rewire_counters_count_attempts_and_refused_draws(monkeypatch):
+    samplers = []
+
+    class CountingSampler(_FenwickSampler):
+        def __init__(self, weights):
+            super().__init__(weights)
+            self.draws = 0
+            samplers.append(self)
+
+        def draw(self, rng):
+            self.draws += 1
+            return super().draw(rng)
+
+    monkeypatch.setattr(netgen, "_FenwickSampler", CountingSampler)
+    net = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=3))
+    converted = round(net.achieved_mu * net.graph.edge_count)  # one per successful draw
+    assert (net.rewire_attempts, samplers[-1].draws) == (15016, 15088)
+    assert net.target_rejections == samplers[-1].draws - converted == 72
+    unmixed = generate(LfrConfig(seed=1, **{**SMALL, "mu": 0.0}))
+    assert (unmixed.rewire_attempts, unmixed.target_rejections) == (0, 0)
+
+
+@pytest.mark.parametrize("selection", ["node", "link"])
+def test_adjacency_sets_share_one_int_per_node(monkeypatch, selection):
+    states = []
+
+    def keep_state(state, *args, **kwargs):
+        states.append(state)
+        return _rewire_to_mu(state, *args, **kwargs)
+
+    monkeypatch.setattr(netgen, "_rewire_to_mu", keep_state)
+    generate(LfrConfig(n=1000, communities=30, mu=0.2, seed=7, selection=selection))
+    (state,) = states
+    assert state.nodes == list(range(1000))
+    assert all(w is state.nodes[w] for nbrs in state.adjacency for w in nbrs)
+    assert not hasattr(state, "intra_pos" if selection == "node" else "intra")
 
 
 degree_vectors = st.lists(st.integers(0, 60), min_size=1, max_size=300).filter(any)

@@ -11,11 +11,13 @@ quartiles and every run's value; per metric, the pairs in which the change
 was better; and each side's environment line and failed checks. Under
 ``raw_per_pass`` it summarises each run's median unscaled wall seconds and
 calibration-kernel seconds per pass, from which the scaled ``pipeline_s``
-is formed. Under ``usage`` it records each run's wall seconds and the CPU
-seconds of its child processes (``RUSAGE_CHILDREN`` before and after), and
-lists per side the seeds whose CPU/wall is below ``FLAG_BELOW`` of that
-side's median: such a run waited for the CPU, most likely behind other
-processes. Flagged runs are kept in every summary, never dropped. The
+is formed, and under ``passes`` each run's pass count, from the same
+line: RSS grows over the first passes, so a side that ran fewer passes can
+read a lower ``peak_rss_mb`` for the same memory use. Under ``usage`` it
+records each run's wall seconds and the CPU seconds of its child processes
+(``RUSAGE_CHILDREN`` before and after), and lists per side the seeds whose
+CPU/wall is below ``FLAG_BELOW`` of that side's median: such a run waited
+for the CPU, most likely behind other processes. Flagged runs are kept in every summary, never dropped. The
 workload is written under its name into ``BENCH_<label>.json`` in the
 current directory, so runs for several workloads share one file.
 """
@@ -57,6 +59,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result["environment"] = json.loads(env[0].split(" ", 1)[1]) if env else None
     passes = next(line for line in lines if line.startswith("passes: "))
     result["raw"] = raw_medians(passes)
+    result["passes"] = pass_count(passes)
     result["usage"] = usage
     return result
 
@@ -66,6 +69,11 @@ def raw_medians(passes_line: str) -> dict:
     _, wall, kernel = passes_line.split("; ")
     return {name: statistics.median(float(v) for v in re.findall(r"\d+\.\d+", text))
             for name, text in (("wall_s", wall), ("kernel_s", kernel))}
+
+
+def pass_count(passes_line: str) -> int:
+    """N of a ``passes: N, of which traced M; ...`` line."""
+    return int(re.match(r"passes: (\d+),", passes_line).group(1))
 
 
 def usage_summary(seeds: list[int], results: list[dict]) -> dict:
@@ -108,7 +116,8 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(run(checkouts[side], args.workload, seed, seconds))
             metrics = runs[side][-1]["metrics"]
             print(f"seed {seed} {side}: " + ", ".join(
-                f"{name} {m['value']:.4g}" for name, m in metrics.items()), flush=True)
+                f"{name} {m['value']:.4g}" for name, m in metrics.items())
+                + f", passes {runs[side][-1]['passes']}", flush=True)
 
     def values(side: str, name: str) -> list[float]:
         return [r["metrics"][name]["value"] for r in runs[side]]
@@ -122,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": {},
         "raw_per_pass": {side: {name: summary([r["raw"][name] for r in runs[side]])
                                 for name in ("wall_s", "kernel_s")} for side in SIDES},
+        "passes": {side: summary([r["passes"] for r in runs[side]]) for side in SIDES},
         "usage": {side: usage_summary(args.seeds, runs[side]) for side in SIDES},
     }
     for side in SIDES:
