@@ -345,16 +345,7 @@ def write_centrality_json(
 
 
 def default_workers() -> int:
-    """Worker count from BRIDGENESS_WORKERS, else the cores this process may use.
-
-    An unset or empty BRIDGENESS_WORKERS means the core count; any other
-    value that is not a positive integer raises ValueError.
-    """
-    env = os.environ.get("BRIDGENESS_WORKERS")
-    if env:
-        if not (env.isdecimal() and int(env) > 0):
-            raise ValueError(f"BRIDGENESS_WORKERS must be a positive integer, got {env!r}")
-        return int(env)
+    """The number of cores this process may use."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform

@@ -24,7 +24,7 @@ from .centrality import (
     write_centrality_csv,
     write_centrality_json,
 )
-from .community import LouvainConfig, LouvainRun, louvain_passes
+from .community import LouvainConfig, louvain_passes
 from .evaluation import (
     cumulative_ratio_curve,
     curve_advantage,
@@ -139,17 +139,13 @@ def cmd_indicator(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detect_communities(graph, **config) -> LouvainRun:
-    try:
-        return louvain_passes(graph, LouvainConfig(**config))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def cmd_communities(args: argparse.Namespace) -> int:
     graph, table = _load_graph(args)
-    run = _detect_communities(graph, seed=args.seed, max_passes=args.max_passes,
-                              min_gain=args.min_gain)
+    try:
+        run = louvain_passes(graph, LouvainConfig(seed=args.seed, max_passes=args.max_passes,
+                                                  min_gain=args.min_gain))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     partition = run.partition
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
@@ -208,22 +204,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.partition and args.detect:
-        raise CliError("give either --partition or --detect, not both")
-    if not args.partition and not args.detect:
-        raise CliError("a partition is required: pass --partition FILE or --detect louvain")
     graph, table = _load_graph(args)
-    inputs = [Path(args.input)]
-    if args.partition:
-        partition = _load_partition_file(args.partition, table)
-        inputs.append(Path(args.partition))
-    else:
-        if args.detect != "louvain":
-            raise CliError(f"unknown detection method {args.detect!r}")
-        if args.seed is None:
-            raise CliError("--detect louvain requires --seed")
-        partition = _detect_communities(graph, seed=args.seed).partition
-
+    partition = _load_partition_file(args.partition, table)
     result = bridgeness_exact(graph, workers=args.workers)
     indicator_result = global_indicator(graph, partition)
     g = indicator_result.g
@@ -266,7 +248,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    _write_provenance(out_dir / "provenance.json", "evaluate", args, inputs)
+    _write_provenance(out_dir / "provenance.json", "evaluate", args,
+                      [Path(args.input), Path(args.partition)])
     print(f"curve_advantage(bridgeness, bc): {advantage:.6g}")
     return 0
 
@@ -300,10 +283,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_workers(parser: argparse.ArgumentParser) -> None:
-    # default None: resolved by main(), so a bad BRIDGENESS_WORKERS only
-    # fails the commands that sweep
-    parser.add_argument("--workers", type=_positive_int,
-                        help="sweep processes (default: BRIDGENESS_WORKERS, else usable cores)")
+    parser.add_argument("--workers", type=_positive_int, default=default_workers(),
+                        help="sweep processes (default: the cores this process may use)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="ranking curves against the community indicator")
     _add_graph_input(p)
-    p.add_argument("--partition", help="node_id,community CSV")
-    p.add_argument("--detect", choices=["louvain"], help="detect the partition instead")
-    p.add_argument("--seed", type=int, help="seed for --detect louvain")
+    p.add_argument("--partition", required=True, help="node_id,community CSV")
     p.add_argument("--window", type=_positive_int, default=200)
     _add_workers(p)
     p.add_argument("--output-dir", required=True)
@@ -376,11 +355,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "workers" in vars(args) and args.workers is None:
-            try:
-                args.workers = default_workers()
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
         return args.func(args)
     except (CliError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Graphs are simple and unweighted (no self-loops, no duplicate edges, no
 edge weights) and use dense internal indices in ``[0, node_count)``.
 External string IDs live in a separate :class:`NodeTable` so algorithms
 work on plain integer arrays. :meth:`Graph.from_edges` takes an ``(m, 2)``
-integer array as it is and builds the CSR from one sort of int64 edge keys;
+integer array as it is and builds the CSR from one in-place sort of the
+int64 keys of both edge orientations;
 :func:`load_edge_list` numbers IDs line by line and drops self-loops and
 duplicates with whole-array operations.
 """
@@ -61,38 +62,40 @@ class Graph:
         """Build a graph from unique undirected edges.
 
         ``edges`` is an ``(m, 2)`` integer array, used as it is, or any
-        iterable of pairs. Raises ValueError on self-loops, duplicate edges
-        (in either orientation) or out-of-range endpoints; use
-        :func:`load_edge_list` for inputs that need cleanup.
+        iterable of pairs. Raises ValueError on another shape, self-loops,
+        duplicate edges (in either orientation) or out-of-range endpoints;
+        use :func:`load_edge_list` for inputs that need cleanup.
         """
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         edge_arr = np.asarray(edges, dtype=np.int64)
         if edge_arr.size == 0:
             edge_arr = edge_arr.reshape(0, 2)
-        m = edge_arr.shape[0]
-        if m and (edge_arr.min() < 0 or edge_arr.max() >= node_count):
+        if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
+            raise ValueError(f"edges must be an (m, 2) array, got shape {edge_arr.shape}")
+        rows, cols = edge_arr.T
+        if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= node_count):
             raise ValueError("edge endpoint out of range")
-        if m and np.any(edge_arr[:, 0] == edge_arr[:, 1]):
+        if np.any(rows == cols):
             raise ValueError("self-loops are not allowed")
-        lo = edge_arr.min(axis=1)
-        hi = edge_arr.max(axis=1)
-        # each edge as one int64 key lo*width + hi, so sorting keys sorts by (lo, hi)
+        # each edge in both orientations as one int64 key row*width + col, so
+        # one sort orders the symmetric CSR by (row, neighbor)
         width = max(node_count, 1)  # a graph without nodes has no edges
-        key = np.sort(_edge_keys(width, lo, hi))
-        if m > 1 and np.any(key[1:] == key[:-1]):
+        both = np.concatenate((_edge_keys(width, rows, cols), _edge_keys(width, cols, rows)))
+        both.sort()
+        if np.any(both[1:] == both[:-1]):
             raise ValueError("duplicate edges are not allowed")
-
-        # symmetric CSR: both orientations, sorted by (row, neighbor)
-        both = np.sort(np.concatenate((key, _edge_keys(width, hi, lo))))
+        rows, cols = np.divmod(both, width)
+        del both  # freed before the gather of the upper half, which holds the peak
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(both // width, minlength=node_count), out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+        upper = rows < cols  # each edge once as (lo, hi), sorted
 
         return cls(
             node_count=int(node_count),
-            edges=_frozen(np.column_stack(np.divmod(key, width))),
+            edges=_frozen(np.column_stack((rows[upper], cols[upper]))),
             indptr=_frozen(indptr),
-            indices=_frozen(both % width),
+            indices=_frozen(cols),
         )
 
     @property
@@ -102,15 +105,6 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         return _frozen(np.diff(self.indptr))
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor indices of ``v`` (read-only view)."""
-        self._check_index(v)
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def _check_index(self, v: int) -> None:
-        if not 0 <= v < self.node_count:
-            raise IndexError(f"node index {v} out of range [0, {self.node_count})")
 
 
 @dataclass(frozen=True)
@@ -227,13 +221,11 @@ def load_edge_list(
     return Graph.from_edges(n, edges), NodeTable(ids=tuple(ids))
 
 
-def write_edge_list(
-    graph: Graph, table: NodeTable, stream: IO[str], *, delimiter: str = " "
-) -> None:
+def write_edge_list(graph: Graph, table: NodeTable, stream: IO[str]) -> None:
     """Write one ``src dst`` line per edge, reloadable by ``load_edge_list``."""
     ids = table.ids
     lo, hi = graph.edges.T.tolist()  # a list per edge would churn the cyclic GC
-    stream.write("".join([f"{ids[u]}{delimiter}{ids[v]}\n" for u, v in zip(lo, hi)]))
+    stream.write("".join([f"{ids[u]} {ids[v]}\n" for u, v in zip(lo, hi)]))
 
 
 def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partition:

@@ -398,9 +398,6 @@ def _rewire_to_mu(
     state: _WiringState,
     target_mu: float,
     rng: np.random.Generator,
-    *,
-    max_target_retries: int = _MAX_TARGET_RETRIES,
-    max_attempts: int = _MAX_REWIRE_ATTEMPTS,
 ) -> tuple[frozenset[int], int, int]:
     """Convert intra links to inter links until the mixing target is met.
 
@@ -408,8 +405,10 @@ def _rewire_to_mu(
     still own an intra link (degree-unbiased); ``"link"`` picks an intra
     link uniformly and keeps a random endpoint (degree-biased, the classic
     construction). The freed far end reattaches to a random external stub
-    (degree-proportional, see ``_FenwickSampler``). Returns the set of kept
-    endpoints, the attempts and the refused stub draws.
+    (degree-proportional, see ``_FenwickSampler``), with at most
+    ``_MAX_TARGET_RETRIES`` stub draws per attempt; past
+    ``_MAX_REWIRE_ATTEMPTS`` attempts it raises GenerationError. Returns the
+    set of kept endpoints, the attempts and the refused stub draws.
     """
     n = len(state.adjacency)
     labels = state.labels.tolist()
@@ -422,8 +421,9 @@ def _rewire_to_mu(
                 f"mu target {target_mu} unreachable: no intra-community links left"
             )
         attempts += 1
-        if attempts > max_attempts:
-            raise GenerationError(f"mu target {target_mu} not reached after {max_attempts} attempts")
+        if attempts > _MAX_REWIRE_ATTEMPTS:
+            raise GenerationError(
+                f"mu target {target_mu} not reached after {_MAX_REWIRE_ATTEMPTS} attempts")
 
         if state.selection == "node":
             v = int(rng.integers(n))
@@ -436,7 +436,7 @@ def _rewire_to_mu(
             v, u = (a, b) if rng.random() < 0.5 else (b, a)
 
         # a kept node saturated toward the outside is resampled next attempt
-        for _ in range(max_target_retries):
+        for _ in range(_MAX_TARGET_RETRIES):
             w = stubs.draw(rng)
             if labels[w] != labels[v] and w not in state.adjacency[v]:
                 state.drop_intra(v, u)

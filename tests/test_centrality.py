@@ -28,6 +28,7 @@ from util import (
     exact_decomposition,
     grid_graph,
     ladder_graph,
+    neighbors,
     path_graph,
     si_compat_oracle,
     small_lfr_graph,
@@ -211,7 +212,7 @@ def chunk_peak_and_bound(graph, hi):
     and ``LEVEL_BYTES`` per BFS level of its deepest block."""
     n, m = graph.node_count, graph.edge_count
     width = centrality._block_width(n, m)
-    adj = [graph.neighbors(v).tolist() for v in range(n)]
+    adj = [neighbors(graph, v).tolist() for v in range(n)]
     levels = 1 + max(max(_path_counts(adj, s)[0]) for s in range(hi))
     bound = (width * (centrality._CELL_BYTES * n + centrality._PAIR_BYTES * m) + 16 * m
              + 64 * (centrality._PIECE + int(graph.degrees.max())) + 3 * 8 * n
@@ -318,7 +319,7 @@ def test_bc_matches_networkx():
         reference = nx.Graph()
         reference.add_nodes_from(range(g.node_count))
         reference.add_edges_from(
-            (v, int(w)) for v in range(g.node_count) for w in g.neighbors(v) if v < w)
+            (v, int(w)) for v in range(g.node_count) for w in neighbors(g, v) if v < w)
         expected = nx.betweenness_centrality(reference, normalized=False)
         expected = np.array([expected[v] for v in range(g.node_count)])
         scale = np.maximum(np.abs(expected), 1.0)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,36 +15,15 @@ from bridgeness.cli import build_parser, main
 from util import bridgeness_bruteforce, dense_indicator, ladder_graph, small_lfr_graph
 
 
-def test_worker_env_override(monkeypatch):
-    monkeypatch.setenv("BRIDGENESS_WORKERS", "3")
-    assert default_workers() == 3
-    for bad in ("not-a-number", "1.5", "0", "-2"):
-        monkeypatch.setenv("BRIDGENESS_WORKERS", bad)
-        with pytest.raises(ValueError, match="BRIDGENESS_WORKERS"):
-            default_workers()
-    monkeypatch.delenv("BRIDGENESS_WORKERS")
-    assert default_workers() >= 1
-
-
-def test_bad_worker_env_fails_only_sweeping_commands(tmp_path, monkeypatch, capsys):
+def test_worker_env_variable_is_not_read(tmp_path, monkeypatch):
     edges = tmp_path / "g.edges"
-    part = tmp_path / "p.csv"
     write_small_graph(edges)
-    write_small_partition(part)
-    monkeypatch.setenv("BRIDGENESS_WORKERS", "abc")
-    code = main(["centrality", "--input", str(edges), "--output", str(tmp_path / "s.csv")])
-    assert code == 1
-    assert "error: BRIDGENESS_WORKERS" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
-    # an explicit flag does not read the variable
-    assert main(["centrality", "--input", str(edges), "--output", str(tmp_path / "s.csv"),
-                 "--workers", "1"]) == 0
-    # commands that never sweep ignore it
-    assert main(["indicator", "--input", str(edges), "--partition", str(part),
-                 "--output", str(tmp_path / "g.csv")]) == 0
-    assert main(["communities", "--input", str(edges), "--seed", "1",
-                 "--output", str(tmp_path / "louvain.csv")]) == 0
-    assert main(["generate", *LFR_ARGS, "--output-prefix", str(tmp_path / "net")]) == 0
+    out = tmp_path / "s.csv"
+    for value in ("abc", "1", "7"):
+        monkeypatch.setenv("BRIDGENESS_WORKERS", value)
+        assert main(["centrality", "--input", str(edges), "--output", str(out)]) == 0
+        prov = json.loads((tmp_path / "s.csv.provenance.json").read_text())
+        assert prov["config"]["workers"] == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "two"])
@@ -60,7 +40,7 @@ def test_bad_workers_flag_exits_2(tmp_path, capsys, value):
 def test_default_workers_recorded_in_provenance(tmp_path, monkeypatch):
     edges = tmp_path / "g.edges"
     write_small_graph(edges)
-    monkeypatch.setenv("BRIDGENESS_WORKERS", "2")
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3})
     out = tmp_path / "s.csv"
     assert main(["centrality", "--input", str(edges), "--output", str(out)]) == 0
     prov = json.loads((tmp_path / "s.csv.provenance.json").read_text())
@@ -68,7 +48,6 @@ def test_default_workers_recorded_in_provenance(tmp_path, monkeypatch):
 
 
 def test_default_workers_counts_usable_cores(monkeypatch):
-    monkeypatch.delenv("BRIDGENESS_WORKERS", raising=False)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 16)
     assert default_workers() == 3
@@ -394,42 +373,13 @@ def test_evaluate_with_partition(tmp_path, capsys):
     assert all(abs(y - 1.0) < 1e-12 for y in g_curve)
 
 
-def test_evaluate_with_louvain_detection(tmp_path):
-    prefix = tmp_path / "net"
-    assert main(["generate", *LFR_ARGS, "--output-prefix", str(prefix)]) == 0
-    out_dir = tmp_path / "eval"
-    assert main(["evaluate", "--input", str(tmp_path / "net.edges"),
-                 "--detect", "louvain", "--seed", "5",
-                 "--output-dir", str(out_dir), "--workers", "1"]) == 0
-    assert (out_dir / "metrics.json").exists()
-
-
-def test_evaluate_rejects_ambiguous_partition(tmp_path, capsys):
-    edges = tmp_path / "g.edges"
-    part = tmp_path / "p.csv"
-    write_small_graph(edges)
-    write_small_partition(part)
-    code = main(["evaluate", "--input", str(edges), "--partition", str(part),
-                 "--detect", "louvain", "--seed", "1",
-                 "--output-dir", str(tmp_path / "eval")])
-    assert code == 1
-    assert "not both" in capsys.readouterr().err
-
-
 def test_evaluate_requires_some_partition(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     write_small_graph(edges)
-    code = main(["evaluate", "--input", str(edges),
-                 "--output-dir", str(tmp_path / "eval")])
-    assert code == 1
-    assert "partition" in capsys.readouterr().err
-
-
-def test_evaluate_detect_requires_seed(tmp_path):
-    edges = tmp_path / "g.edges"
-    write_small_graph(edges)
-    assert main(["evaluate", "--input", str(edges), "--detect", "louvain",
-                 "--output-dir", str(tmp_path / "eval")]) == 1
+    with pytest.raises(SystemExit) as err:
+        main(["evaluate", "--input", str(edges), "--output-dir", str(tmp_path / "eval")])
+    assert err.value.code == 2
+    assert "--partition" in capsys.readouterr().err
 
 
 def test_evaluate_window_below_1_exits_2(tmp_path, capsys):
@@ -449,8 +399,6 @@ EMPTY_GRAPH_RUNS = {
     "indicator": ["--partition", "{d}/p.csv", "--output", "{d}/g.csv"],
     "communities": ["--seed", "1", "--output", "{d}/louvain.csv"],
     "evaluate": ["--partition", "{d}/p.csv", "--output-dir", "{d}/eval", "--workers", "1"],
-    "evaluate-detect": ["--detect", "louvain", "--seed", "1", "--output-dir", "{d}/eval",
-                        "--workers", "1"],
     "report": ["--partition", "{d}/p.csv", "--output", "{d}/r.csv", "--workers", "1"],
 }
 
@@ -460,7 +408,7 @@ def test_empty_graph_runs_cover_every_input_command():
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     reading = {name for name, sub in commands.choices.items()
                if any(action.dest == "input" for action in sub._actions)}
-    assert reading == {name.split("-")[0] for name in EMPTY_GRAPH_RUNS}
+    assert reading == set(EMPTY_GRAPH_RUNS)
     assert set(commands.choices) - reading == {"generate"}  # reads no edge list
 
 
@@ -468,7 +416,7 @@ def test_empty_graph_runs_cover_every_input_command():
 def test_every_command_takes_an_empty_edge_list(tmp_path, capsys, run):
     (tmp_path / "g.edges").write_text("")
     (tmp_path / "p.csv").write_text("")
-    argv = [run.split("-")[0], "--input", str(tmp_path / "g.edges"),
+    argv = [run, "--input", str(tmp_path / "g.edges"),
             *(arg.format(d=tmp_path) for arg in EMPTY_GRAPH_RUNS[run])]
     code = main(argv)  # an uncaught exception fails the test
     err = capsys.readouterr().err

@@ -26,6 +26,11 @@ per-element implementations of the parser, the CSR build and the Louvain
 level graph. They pin the Louvain labels and the ``repr`` of every pass's
 modularity, the node table and CSR arrays of a messy edge list, and the
 bytes ``generate``, ``communities`` and ``indicator`` write at n=1000.
+
+The ``evaluate`` digests were recorded from ``evaluate --detect louvain
+--seed 3``, which detected the partition itself; ``communities --seed 3``
+followed by ``evaluate --partition`` replaced it and must write the same
+bytes in every file but the provenance.
 """
 import hashlib
 import io
@@ -136,6 +141,29 @@ PIPELINE_1000 = {
     "net.communities.csv": "bb19bf6cff7b2cb07da756edd5cc7b9f31bd2e9d2d9f3994a36d8f60f1badbfa",
     "louvain.csv": "42ac543a414a2261e0250f414eaa596c5173ea1c36aa1c2036bd844ab2ff3aad",
     "g.csv": "4fe7c40e583b95f8e8fb7e526e4e36c43dcafe944c2961ae5783d13b9243f6fe",
+}
+
+EVALUATE_1000 = {  # every file but provenance.json
+    "curve_bc.csv": "5e8de15af2a5ade8ee431d4c70d350bba20e656170538b403153bed662dbda16",
+    "curve_bc.csv.meta.json": "ed8acaff7cd1c883f812137249dab87364c1c1e34ae1a30f45e4f7b16b08251b",
+    "curve_bc_smoothed.csv": "ca09eea2164cdfb1bab91f24025b528d2d3605548045083280951ccd6553f6f7",
+    "curve_bc_smoothed.csv.meta.json":
+        "59d99ec8a51472bca3bbfc5c75799d0e6a6724cd1dee6ef77a5514df4020320b",
+    "curve_bridgeness.csv": "17298931ba51493f168d6bd2a97d928cb0d1432ad66470cd0736fb1098251408",
+    "curve_bridgeness.csv.meta.json":
+        "2db9afdde83fb2b1531ac82fd18b1a50cb8cd62619725773b71a61a90405a973",
+    "curve_bridgeness_smoothed.csv":
+        "63b02f1dfe1ef13d8fb7149c4091c9ea22f80e674c4dec05f4fd5a8543766140",
+    "curve_bridgeness_smoothed.csv.meta.json":
+        "9155f95517c8d64e4b3297e444be3dc26ec00eaf67363cbc7887eb71ffd05b92",
+    "curve_g.csv": "3b19cb9fb70e353c2a9f09c99d92e4dcde228ce1c6d568564109a20eda6538aa",
+    "curve_g.csv.meta.json": "63f136f7a74f2b1513bf20316999cfc68311fc6e3bade94cea4d49d3466004f2",
+    "curve_g_smoothed.csv": "3b19cb9fb70e353c2a9f09c99d92e4dcde228ce1c6d568564109a20eda6538aa",
+    "curve_g_smoothed.csv.meta.json":
+        "484687bc7ab040698e89758e13fa866975cc26f9a2272296d67b5ff5ca365b78",
+    "g_scores.csv": "539123526411bb409b910d8975a402606d1ee50e34e76adf8078795b1d431bd2",
+    "locterm_by_degree.csv": "4a4e3949147f1b29c7e015c5d7aedcb569641d4b768dfa9c8f285f0d75e637b4",
+    "metrics.json": "c59c0d63a694df59fbc5b2db90f69c1cf06ba3671d6745e606ff2041801995b5",
 }
 
 CLI_CSV = {
@@ -307,3 +335,19 @@ def test_generate_communities_indicator_bytes(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PIPELINE_1000}
     assert digests == PIPELINE_1000
+
+
+def test_evaluate_on_louvain_partition_bytes(tmp_path):
+    prefix = tmp_path / "net"
+    for argv in (
+        ["generate", "--n", "1000", "--communities", "30", "--mu", "0.2", "--seed", "3",
+         "--output-prefix", str(prefix)],
+        ["communities", "--input", f"{prefix}.edges", "--seed", "3",
+         "--output", str(tmp_path / "louvain.csv")],
+        ["evaluate", "--input", f"{prefix}.edges", "--partition", str(tmp_path / "louvain.csv"),
+         "--workers", "1", "--output-dir", str(tmp_path / "eval")],
+    ):
+        assert main(argv) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "eval").iterdir() if path.name != "provenance.json"}
+    assert digests == EVALUATE_1000

@@ -66,6 +66,17 @@ def test_from_edges_validates():
                     Graph.from_edges(n, fed)
 
 
+@pytest.mark.parametrize("edges", [
+    np.array([[0, 1, 2], [1, 2, 3]]),  # (2, 3): read as columns it would be (0, 2), (1, 3)
+    np.array([0, 1, 2, 3]),
+    np.zeros((2, 2, 2), dtype=np.int64),
+    [(0, 1, 2)],
+])
+def test_from_edges_rejects_other_shapes(edges):
+    with pytest.raises(ValueError, match=r"edges must be an \(m, 2\) array"):
+        Graph.from_edges(4, edges)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_from_edges_takes_empty_arrays(n):
     for edges in (np.empty((0, 2), dtype=np.int64), np.array([], dtype=np.int64), []):
@@ -76,7 +87,7 @@ def test_from_edges_takes_empty_arrays(n):
 
 
 def test_from_edges_states_the_key_bound():
-    # edges are sorted as int64 keys lo * n + hi, which needs n**2 < 2**63
+    # edges are sorted as int64 keys row * n + col, which needs n**2 < 2**63
     with pytest.raises(ValueError, match=r"node_count\*\*2 < 2\*\*63"):
         Graph.from_edges(3_037_000_500, np.empty((0, 2), dtype=np.int64))
 

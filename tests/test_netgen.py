@@ -96,7 +96,7 @@ def test_infeasible_configs_raise():
             LfrConfig(seed=1, **{**SMALL, "mean_degree": bad})
 
 
-def test_rewire_unreachable_target_errors():
+def test_rewire_unreachable_target_errors(monkeypatch):
     # both intra edges are saturated toward the outside: every rewire target
     # is already adjacent, so the mu target cannot be met
     labels = np.array([0, 0, 1, 1])
@@ -104,19 +104,21 @@ def test_rewire_unreachable_target_errors():
     state = _WiringState(labels=labels, adjacency=adjacency, nodes=list(range(4)),
                          selection="node", inter_count=4)
     assert state.edge_count == 6
+    monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
+    monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 200)
     with pytest.raises(GenerationError, match="after 200 attempts"):
-        _rewire_to_mu(state, 0.95, np.random.default_rng(0),
-                      max_target_retries=8, max_attempts=200)
+        _rewire_to_mu(state, 0.95, np.random.default_rng(0))
 
 
-def test_rewiring_exhaustion_errors():
+def test_rewiring_exhaustion_errors(monkeypatch):
     # drain all intra links with an unreachable target
     labels = np.array([0, 0, 1, 1])
     adjacency = [{1}, {0}, {3}, {2}]
     state = _WiringState(labels=labels, adjacency=adjacency, nodes=list(range(4)),
                          selection="node")
-    rewired, attempts, _ = _rewire_to_mu(
-        state, 0.99, np.random.default_rng(1), max_target_retries=8, max_attempts=500)
+    monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
+    monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 500)
+    rewired, attempts, _ = _rewire_to_mu(state, 0.99, np.random.default_rng(1))
     assert state.mu() == 1.0
     assert rewired  # both intra edges converted before the target was hit
     assert attempts >= 2  # one per converted link at least

@@ -14,6 +14,11 @@ from bridgeness import (
 from bridgeness.netgen import _weighted_index
 
 
+def neighbors(graph: Graph, v: int) -> np.ndarray:
+    """Sorted neighbor indices of ``v``: its row of the CSR."""
+    return graph.indices[graph.indptr[v]:graph.indptr[v + 1]]
+
+
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi graph; may be disconnected."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
@@ -132,7 +137,7 @@ def _path_counts(adj, s):
 def all_pairs_counts(graph: Graph):
     """Distances and shortest-path counts by plain BFS, independent of the library engine."""
     n = graph.node_count
-    adj = [list(map(int, graph.neighbors(v))) for v in range(n)]
+    adj = [list(map(int, neighbors(graph, v))) for v in range(n)]
     dist = np.full((n, n), np.inf)
     sigma = np.zeros((n, n))
     for s in range(n):
@@ -152,7 +157,7 @@ def exact_decomposition(graph: Graph) -> tuple[list[Fraction], list[Fraction]]:
     neither endpoint is adjacent to j.
     """
     n = graph.node_count
-    adj = [list(map(int, graph.neighbors(v))) for v in range(n)]
+    adj = [list(map(int, neighbors(graph, v))) for v in range(n)]
     dist, sigma = zip(*(_path_counts(adj, s) for s in range(n))) if n else ((), ())
     bc = [Fraction(0)] * n
     bri = [Fraction(0)] * n
@@ -189,7 +194,7 @@ def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
         frac[:, j] = 0.0
         np.fill_diagonal(frac, 0.0)
         bc[j] = frac.sum() / 2.0
-        nbrs = graph.neighbors(j)
+        nbrs = neighbors(graph, j)
         frac[nbrs, :] = 0.0
         frac[:, nbrs] = 0.0
         bri[j] = frac.sum() / 2.0
@@ -207,7 +212,7 @@ def si_compat_oracle(graph: Graph) -> np.ndarray:
     dist, sigma = all_pairs_counts(graph)
     out = np.zeros(n)
     for j in range(n):
-        nbrs = set(map(int, graph.neighbors(j)))
+        nbrs = set(map(int, neighbors(graph, j)))
         for i in range(n):
             for k in range(i + 1, n):
                 if j in (i, k) or sigma[i, k] == 0:
