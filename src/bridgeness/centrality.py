@@ -15,31 +15,35 @@ with both ends outside N(v) | {v}: the ordered bridgeness. ``l1[v]`` sums
 delta_s(v) over the sources adjacent to v.
 
 :func:`bridgeness_exact` gives bridgeness = bri and local = bc - bridgeness;
-:func:`bridgeness_si_compat` gives si = bc - l1 in the bridgeness field. Only
-the former fills ``bri``, which costs one more scatter per DAG pair. Results
-count unordered pairs (ordered sums halved at the end). Every term is
-non-negative, each beta term is at most the delta term beside it, and
-``l1``'s terms are a subsequence of ``bc``'s in the same order, so
-0 <= bridgeness <= bc and 0 <= si <= bc hold in floating point without a
-clamp, and a zero bridgeness is 0.0.
+:func:`bridgeness_si_compat` gives si = bc - l1 in the bridgeness field. Each
+sweep sums ``bc`` and only the term its variant returns: ``bri`` costs one
+more scatter per DAG pair, ``l1`` one per level-1 pair. Results count
+unordered pairs (ordered sums halved at the end). Every term is non-negative,
+each beta term is at most the delta term beside it, and ``l1``'s terms are a
+subsequence of ``bc``'s in the same order, so 0 <= bridgeness <= bc and
+0 <= si <= bc hold in floating point without a clamp, and a zero bridgeness
+is 0.0.
 
 Block engine. B sources are swept at once, as one BFS over B disjoint copies
 of the graph held in n x B arrays (column k belongs to the k-th source):
 
-* forward, one level per step: the incidences from frontier cells into
-  unvisited cells are kept, found from the frontier (top-down) or from the
-  unvisited cells (bottom-up; Beamer, Asanovic and Patterson, SC'12). Each
-  kept (pred, succ) pair adds sigma[pred] to sigma[succ] by ``np.add.at``
-  and is recorded as a shortest-path DAG edge. From level 3 on, a level
-  goes bottom-up when the unvisited cells have at least ``_PIECE`` fewer
-  incidences than the frontier; levels 1 and 2 stay top-down, which
-  measured faster than leaving level 2 to that rule. Either way the next
-  frontier is the cells at distance d, in cell order;
-* backward: the recorded pairs are walked from the deepest level up. Each
-  pair's ``ratio = sigma[pred] / sigma[succ]`` and gathered ``delta[succ]``
-  give pred ``ratio * (1 + delta[succ])`` into delta and, when pred is at
-  least two levels from the source, ``ratio * delta[succ]`` into bri, both
-  by ``np.add.at``. Nothing is expanded again and no distance is tested.
+* forward (:func:`_forward`), one level per step: the incidences from
+  frontier cells into unvisited cells are kept, found from the frontier
+  (top-down) or from the unvisited cells (bottom-up; Beamer, Asanovic and
+  Patterson, SC'12). Each kept (pred, succ) pair adds sigma[pred] to
+  sigma[succ] by ``np.add.at`` and is recorded as a shortest-path DAG edge.
+  From level 3 on, a level goes bottom-up when the unvisited cells have at
+  least ``_PIECE`` fewer incidences than the frontier; levels 1 and 2 stay
+  top-down, which measured faster than leaving level 2 to that rule. Either
+  way the next frontier is the cells at distance d, in cell order. Only
+  sigma and the recorded pairs outlive the pass;
+* backward (:func:`_backward`): the recorded pairs are walked from the
+  deepest level up. Each pair's ``ratio = sigma[pred] / sigma[succ]`` and
+  gathered ``delta[succ]`` give pred ``ratio * (1 + delta[succ])`` into
+  delta and, in the exact sweep when pred is at least two levels from the
+  source, ``ratio * delta[succ]`` into bri, both by ``np.add.at``. The
+  si-compat sweep then adds each level-1 cell's delta into ``l1``. Nothing
+  is expanded again and no distance is tested.
 
 Results are bit-identical to sweeping one source at a time: every sum has
 the same terms in the same order. Top-down records pairs by pred cell,
@@ -52,8 +56,8 @@ source order. Block width, piece size and direction change no bit. A
 non-finite sigma after the forward pass raises ``OverflowError``.
 
 Memory per sweeping process is bounded beyond the graph. A block holds at
-most ``_CELL_BYTES`` = 48 bytes per cell (distance and sigma, then delta
-and bri, and up to 32 for a level's cells, nodes, degrees and running sums)
+most ``_CELL_BYTES`` = 48 bytes per cell (distance, sigma and up to 32 for
+a level's cells, nodes, degrees and running sums, then sigma, delta and bri)
 and ``_PAIR_BYTES`` = 16 per recorded pair, at most m per source. B = _BUDGET
 // (48 n + 16 m), clamped to [1, _CHUNK] and evened out over a chunk, keeps
 both within ``_BUDGET`` = 8 MiB until one source needs more (B = 1). A
@@ -78,7 +82,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Graph, NodeTable
+from .graph import Graph, NodeTable, write_rows
 
 _CHUNK = 64  # sources per reduction unit; fixed, worker-count independent
 _BUDGET = 1 << 23  # bytes for the n x B arrays and the recorded DAG of one block
@@ -127,12 +131,13 @@ def _bottom_up(left, reach):
     return left + _PIECE <= reach
 
 
-def _sweep_block(indptr, indices, sources, bridge):
-    """Dependencies, bri terms (None unless ``bridge``) and level-1 DAG pairs.
+def _forward(indptr, indices, sources):
+    """Path counts and shortest-path DAG of one block of ``sources``.
 
     A cell is a (node, column) pair, flattened to node * B + column, and
-    both arrays are indexed by cell. The level-1 pairs come in pieces of
-    (pred, succ) pairs sorted by pred, then succ.
+    ``sigma`` is indexed by cell. ``dag[d - 1]`` holds the (pred, succ) cell
+    pairs from level d - 1 to level d, in pieces; the level-1 pieces are
+    sorted by pred, then succ.
     """
     n, width = len(indptr) - 1, len(sources)
     degree = np.diff(indptr)
@@ -176,9 +181,15 @@ def _sweep_block(indptr, indices, sources, bridge):
     if not np.isfinite(sigma).all():
         source = sources[np.flatnonzero(~np.isfinite(sigma))[0] % width]
         raise OverflowError(f"shortest-path counts from node {source} overflow float64")
+    return sigma, dag
 
-    delta = np.zeros(n * width)
-    bri = np.zeros(n * width) if bridge else None  # unused, it slowed the grid sweep 4%
+
+def _backward(sigma, dag, width, sums, bridge):
+    """Add the block's (bc, bri) terms, or (bc, l1) unless ``bridge``, into
+    the two rows of ``sums``, in source order."""
+    bc, term = sums
+    delta = np.zeros(len(sigma))
+    bri = np.zeros(len(sigma)) if bridge else None
     # dag[level] holds the pairs whose pred is at that level; level-0 terms
     # reach only the sources, whose delta is dropped anyway
     for level in range(len(dag) - 1, 0, -1):
@@ -188,31 +199,23 @@ def _sweep_block(indptr, indices, sources, bridge):
             np.add.at(delta, pred, ratio * (1.0 + below))
             if bridge and level >= 2:
                 np.add.at(bri, pred, ratio * below)
-    return delta, bri, dag[0]
-
-
-def _accumulate_block(indptr, indices, sources, sums, bridge):
-    """Add the (bc, l1, bri) terms of ``sources`` into ``sums``, in source order."""
-    bc, l1, bri = sums
-    width = len(sources)
-    delta, beta, level1 = _sweep_block(indptr, indices, sources, bridge)
     for k in range(width):
         bc += delta[k::width]
-    for _, succ in level1:  # the sources' neighbors, in source order
-        np.add.at(l1, succ // width, delta[succ])
-    if bridge:
-        for k in range(width):
-            bri += beta[k::width]
+        if bridge:
+            term += bri[k::width]
+    if not bridge:
+        for _, succ in dag[0]:  # the sources' neighbors, in source order
+            np.add.at(term, succ // width, delta[succ])
 
 
 def _accumulate_chunk(indptr, indices, lo, hi, bridge):
-    """Sum per-source (bc, l1, bri) rows over sources lo..hi-1 in order."""
+    """Sum per-source (bc, bri) or (bc, l1) rows over sources lo..hi-1 in order."""
     n = len(indptr) - 1
-    sums = np.zeros((3, n))
+    sums = np.zeros((2, n))
     width = _block_width(n, len(indices) // 2)
     for start in range(lo, hi, width):
         sources = np.arange(start, min(start + width, hi))
-        _accumulate_block(indptr, indices, sources, sums, bridge)
+        _backward(*_forward(indptr, indices, sources), len(sources), sums, bridge)
     return sums
 
 
@@ -228,19 +231,13 @@ def _worker_chunk(bounds):
     return _accumulate_chunk(*_WORKER_GRAPH, *bounds)
 
 
-def _sum_partials(n, partials):
-    total = np.zeros((3, n))
-    for partial in partials:
-        total += partial
-    return total
-
-
 def _brandes_accumulate(graph: Graph, workers: int = 1, bridge: bool = True):
-    """Ordered (bc, l1, bri) accumulators over all sources, as a 3 x n array.
+    """Ordered (bc, bri) accumulators over all sources, as a 2 x n array;
+    (bc, l1) unless ``bridge``.
 
-    ``bri`` stays 0 unless ``bridge``. Chunk boundaries are fixed, and chunk
-    partials are reduced in chunk order, so the result does not depend on
-    the worker count. The pool starts at most one process per chunk.
+    Chunk boundaries are fixed, and chunk partials are reduced in chunk
+    order, so the result does not depend on the worker count. The pool
+    starts at most one process per chunk.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -248,15 +245,15 @@ def _brandes_accumulate(graph: Graph, workers: int = 1, bridge: bool = True):
     bounds = [(lo, min(lo + _CHUNK, n), bridge) for lo in range(0, n, _CHUNK)]
     workers = min(workers, len(bounds))
     if workers <= 1:
-        return _sum_partials(n, (_accumulate_chunk(graph.indptr, graph.indices, *chunk)
-                                 for chunk in bounds))
+        return sum((_accumulate_chunk(graph.indptr, graph.indices, *chunk) for chunk in bounds),
+                   np.zeros((2, n)))
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_worker_init,
         initargs=(graph.indptr, graph.indices),
     )
     try:
-        return _sum_partials(n, pool.map(_worker_chunk, bounds))
+        return sum(pool.map(_worker_chunk, bounds), np.zeros((2, n)))
     finally:  # a failed chunk drops the chunks not yet started
         pool.shutdown(cancel_futures=True)
 
@@ -267,7 +264,7 @@ def bridgeness_exact(graph: Graph, *, workers: int = 1) -> CentralityResult:
     Bridgeness of j counts only pairs with both endpoints outside
     N(j) | {j}; local is the complement, so bc = bridgeness + local.
     """
-    bc, _, bri = _brandes_accumulate(graph, workers) / 2.0
+    bc, bri = _brandes_accumulate(graph, workers) / 2.0
     return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri)
 
 
@@ -280,7 +277,7 @@ def bridgeness_si_compat(graph: Graph, *, workers: int = 1) -> CentralityResult:
     half its weight: ``si`` equals bridgeness plus half of that mixed-pair
     term, so bridgeness <= si <= bc.
     """
-    bc, l1, _ = _brandes_accumulate(graph, workers, bridge=False)
+    bc, l1 = _brandes_accumulate(graph, workers, bridge=False)
     si = (bc - l1) / 2.0
     bc = bc / 2.0
     return CentralityResult(bc=bc, bridgeness=si, local=bc - si)
@@ -326,12 +323,10 @@ def write_centrality_csv(
     stream: IO[str],
     table: NodeTable | None = None,
 ) -> None:
-    stream.write("node_id,degree,bc,bridgeness,local\n")
-    for rec in centrality_records(result, graph, table):
-        stream.write(
-            "%s,%d,%.12g,%.12g,%.12g\n"
-            % (rec["node_id"], rec["degree"], rec["bc"], rec["bridgeness"], rec["local"])
-        )
+    table = table or NodeTable.identity(graph.node_count)
+    write_rows(stream, "node_id,degree,bc,bridgeness,local\n", "%s,%d,%.12g,%.12g,%.12g\n",
+               table.ids, graph.degrees.tolist(), result.bc.tolist(),
+               result.bridgeness.tolist(), result.local.tolist())
 
 
 def write_centrality_json(

@@ -42,6 +42,7 @@ from .graph import (
     load_partition,
     write_edge_list,
     write_partition,
+    write_rows,
 )
 from .indicator import global_indicator, write_indicator_csv
 from .netgen import GenerationError, LfrConfig, generate
@@ -228,9 +229,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     locterm = locterm_by_degree(result, graph)
     with open(out_dir / "locterm_by_degree.csv", "w", encoding="utf-8") as fh:
-        fh.write("degree,mean_local_ratio\n")
-        for k in sorted(locterm):
-            fh.write(f"{k},{locterm[k]:.12g}\n")
+        write_rows(fh, "degree,mean_local_ratio\n", "%d,%.12g\n", *zip(*sorted(locterm.items())))
 
     advantage = curve_advantage(curves["bridgeness"], curves["bc"])
     metrics = {

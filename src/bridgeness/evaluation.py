@@ -15,7 +15,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .centrality import CentralityResult
-from .graph import Graph, NodeTable, Partition
+from .graph import Graph, NodeTable, Partition, write_rows
 from .indicator import GlobalIndicatorResult
 
 REPORT_COLUMNS = ("node_id", "G", "community", "bc", "bridgeness", "degree")
@@ -61,7 +61,11 @@ def cumulative_ratio_curve(
 
 
 def smooth(curve: RankingCurve, window: int = 200) -> RankingCurve:
-    """Trailing moving average, truncated at the left boundary."""
+    """Trailing moving average, truncated at the left boundary.
+
+    A window longer than the curve averages the same points as one of its
+    length; ``window`` is kept as given.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
     if window == 1:
@@ -69,7 +73,7 @@ def smooth(curve: RankingCurve, window: int = 200) -> RankingCurve:
     csum = np.concatenate(([0.0], np.cumsum(curve.y)))
     n = len(curve.y)
     idx = np.arange(n)
-    lo = np.maximum(idx - window + 1, 0)
+    lo = np.maximum(idx - min(window, n) + 1, 0)  # an int64 cannot hold every window
     y = (csum[idx + 1] - csum[lo]) / (idx + 1 - lo)
     return replace(curve, y=y, window=window)
 
@@ -171,21 +175,14 @@ def node_report(
 
 
 def write_node_report(rows: Sequence[Mapping], stream: IO[str]) -> None:
-    stream.write(",".join(REPORT_COLUMNS) + "\n")
-    for row in rows:
-        stream.write(
-            "%s,%.12g,%d,%.12g,%.12g,%d\n"
-            % (row["node_id"], row["G"], row["community"], row["bc"],
-               row["bridgeness"], row["degree"])
-        )
+    write_rows(stream, ",".join(REPORT_COLUMNS) + "\n", "%s,%.12g,%d,%.12g,%.12g,%d\n",
+               *([row[column] for row in rows] for column in REPORT_COLUMNS))
 
 
 def write_curve_csv(curve: RankingCurve, path: str) -> None:
     """Two-column CSV (rank, ratio) plus a JSON metadata sidecar."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,ratio\n")
-        for x, y in zip(curve.x, curve.y):
-            fh.write(f"{int(x)},{y:.12g}\n")
+        write_rows(fh, "rank,ratio\n", "%d,%.12g\n", curve.x.tolist(), curve.y.tolist())
     meta = {"name": curve.name, "window": curve.window, "points": int(len(curve.x))}
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

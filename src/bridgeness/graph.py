@@ -221,11 +221,17 @@ def load_edge_list(
     return Graph.from_edges(n, edges), NodeTable(ids=tuple(ids))
 
 
+def write_rows(stream: IO[str], header: str, fmt: str, *columns: Iterable) -> None:
+    """Write ``header``, then ``fmt % row`` for each row of ``columns``, in one
+    write. Columns of unequal length raise ValueError."""
+    stream.write(header + "".join([fmt % row for row in zip(*columns, strict=True)]))
+
+
 def write_edge_list(graph: Graph, table: NodeTable, stream: IO[str]) -> None:
     """Write one ``src dst`` line per edge, reloadable by ``load_edge_list``."""
     ids = table.ids
     lo, hi = graph.edges.T.tolist()  # a list per edge would churn the cyclic GC
-    stream.write("".join([f"{ids[u]} {ids[v]}\n" for u, v in zip(lo, hi)]))
+    write_rows(stream, "", "%s %s\n", [ids[u] for u in lo], [ids[v] for v in hi])
 
 
 def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partition:
@@ -263,7 +269,5 @@ def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partiti
 
 def write_partition(partition: Partition, table: NodeTable, stream: IO[str]) -> None:
     """Write ``node_id,community`` lines in internal index order."""
-    ids = table.ids
-    stream.write("".join([f"{ids[i]},{label}\n"
-                          for i, label in enumerate(partition.labels.tolist())]))
+    write_rows(stream, "", "%s,%d\n", table.ids, partition.labels.tolist())
 

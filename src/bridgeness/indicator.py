@@ -19,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Graph, NodeTable, Partition
+from .graph import Graph, NodeTable, Partition, write_rows
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,6 @@ def write_indicator_csv(
     stream: IO[str],
     table: NodeTable | None = None,
 ) -> None:
-    n = len(result.g)
-    table = table or NodeTable.identity(n)
-    stream.write("node_id,community,G\n")
-    for v in range(n):
-        stream.write(f"{table.id_of(v)},{int(partition.labels[v])},{result.g[v]:.12g}\n")
+    table = table or NodeTable.identity(len(result.g))
+    write_rows(stream, "node_id,community,G\n", "%s,%d,%.12g\n",
+               table.ids, partition.labels.tolist(), result.g.tolist())

@@ -1,6 +1,11 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -60,36 +65,53 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
 STUB_RUN = """\
 import json, sys, time
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
-if seed == 2:  # waits instead of computing, as a run behind other processes does
-    time.sleep(0.3)
-else:
-    end = time.perf_counter() + 0.3
-    while time.perf_counter() < end:
-        pass
+end = time.perf_counter() + 0.6
+while time.perf_counter() < end:
+    pass
 print('environment {"nproc": 1}')
-print(f"passes: {seed + 1}, of which traced 0; wall seconds per pass 0.300; "
+print(f"passes: {seed + 1}, of which traced 0; wall seconds per pass 0.600; "
       "calibration kernel seconds 0.0500")
-print(json.dumps({"failed": 0, "metrics": {"pipeline_s": {"value": 0.3}}}))
+print(json.dumps({"failed": 0, "metrics": {"pipeline_s": {"value": 0.6}}}))
 """
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_usage_flags_a_run_that_waits_and_keeps_it(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({
             "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower"}]}))
+    real_run = bench_pairs.run
+
+    def run_beside_a_hog(checkout, workload, seed, seconds):
+        """Seed 2's runs share their CPU with a busy loop, as behind other processes."""
+        if seed != 2:
+            return real_run(checkout, workload, seed, seconds)
+        hog = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+        try:
+            return real_run(checkout, workload, seed, seconds)
+        finally:  # reaped before the next run reads its children's CPU time
+            hog.kill()
+            hog.wait()
+
+    monkeypatch.setattr(bench_pairs, "run", run_beside_a_hog)
     monkeypatch.chdir(tmp_path)
-    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                             "--workload", "w", "--seeds", "1-3", "--label", "t"]) == 0
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})  # the runs and the hog inherit the one CPU
+    try:
+        assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                                 "--workload", "w", "--seeds", "1-3", "--label", "t"]) == 0
+    finally:
+        os.sched_setaffinity(0, cpus)
     record = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
     for side in ("parent", "change"):
         usage = record["usage"][side]
         assert [r["seed"] for r in usage["runs"]] == [1, 2, 3]
-        assert all(r["wall_s"] >= 0.3 for r in usage["runs"])
+        assert all(r["wall_s"] >= 0.6 for r in usage["runs"])
         waited = usage["runs"][1]
-        assert waited["cpu_s"] < 0.5 * waited["wall_s"]
-        assert 2 in usage["flagged_seeds"]
+        assert waited["cpu_s"] < 0.75 * waited["wall_s"]
+        assert usage["flagged_seeds"] == [2]
         assert len(record["metrics"]["pipeline_s"][side]["runs"]) == 3  # flagged, still kept
         assert record["passes"][side]["runs"] == [2, 3, 4]  # parsed from each run's output
 

@@ -30,7 +30,6 @@ from util import (
     ladder_graph,
     neighbors,
     path_graph,
-    si_compat_oracle,
     small_lfr_graph,
     star_graph,
 )
@@ -97,9 +96,9 @@ def test_si_compat_star_and_path():
     path = path_graph(5)
     si = bridgeness_si_compat(path).bridgeness
     # faithful source-side filter: sources at distance > 1 only; verified
-    # against the instrumented half-weight pair enumeration
+    # against the half-weight pair enumeration
     assert np.allclose(si, [0.0, 1.0, 2.0, 1.0, 0.0])
-    assert np.allclose(si, si_compat_oracle(path))
+    assert np.allclose(si, bridgeness_bruteforce(path).si)
 
 
 def test_si_compat_dominates_exact():
@@ -110,7 +109,7 @@ def test_si_compat_dominates_exact():
         si = bridgeness_si_compat(g).bridgeness
         assert np.all(si >= result.bridgeness)
         assert np.all(si <= result.bc)
-        assert np.allclose(si, si_compat_oracle(g), atol=1e-9)
+        assert np.allclose(si, bridgeness_bruteforce(g).si, atol=1e-9)
 
 
 def test_oracle_equivalence_random_graphs():
@@ -191,13 +190,13 @@ def test_bridgeness_is_within_4_ulp_of_the_exact_oracle():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(g=small_graphs())
 def test_level_direction_does_not_change_the_accumulators(g):
-    runs = []
-    for bottom_up in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(centrality, "_bottom_up", lambda left, reach, up=bottom_up: up)
-            runs.append(centrality._brandes_accumulate(g, workers=1))
-    for top_down, bottom_up in zip(*runs):  # bc, l1, bri
-        assert np.array_equal(top_down, bottom_up)
+    for bridge in (True, False):  # (bc, bri), then (bc, l1)
+        runs = []
+        for bottom_up in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(centrality, "_bottom_up", lambda left, reach, up=bottom_up: up)
+                runs.append(centrality._brandes_accumulate(g, workers=1, bridge=bridge))
+        assert np.array_equal(*runs)
 
 
 # measured: about 400 bytes of list, tuple and array objects per recorded
@@ -205,24 +204,27 @@ def test_level_direction_does_not_change_the_accumulators(g):
 LEVEL_BYTES = 512
 
 
-def chunk_peak_and_bound(graph, hi):
-    """``tracemalloc`` peak of sweeping sources 0..hi-1 as one chunk, and its
-    documented bound: the block's cells and recorded pairs, the 8-byte step
-    table per incidence, one expansion piece, the chunk's three partial sums
-    and ``LEVEL_BYTES`` per BFS level of its deepest block."""
+def chunk_peak_and_bound(graph, hi, bridges=(True,)):
+    """``tracemalloc`` peak of sweeping sources 0..hi-1 as one chunk, the
+    largest over the exact (``True``) and si-compat (``False``) ``bridges``,
+    and its documented bound: the block's cells and recorded pairs, the
+    8-byte step table per incidence, one expansion piece, the chunk's two
+    partial sums and ``LEVEL_BYTES`` per BFS level of its deepest block."""
     n, m = graph.node_count, graph.edge_count
     width = centrality._block_width(n, m)
     adj = [neighbors(graph, v).tolist() for v in range(n)]
     levels = 1 + max(max(_path_counts(adj, s)[0]) for s in range(hi))
     bound = (width * (centrality._CELL_BYTES * n + centrality._PAIR_BYTES * m) + 16 * m
-             + 64 * (centrality._PIECE + int(graph.degrees.max())) + 3 * 8 * n
+             + 64 * (centrality._PIECE + int(graph.degrees.max())) + 2 * 8 * n
              + LEVEL_BYTES * levels)
-    tracemalloc.start()
-    try:
-        centrality._accumulate_chunk(graph.indptr, graph.indices, 0, hi, True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = 0
+    for bridge in bridges:
+        tracemalloc.start()
+        try:
+            centrality._accumulate_chunk(graph.indptr, graph.indices, 0, hi, bridge)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     return peak, bound
 
 
@@ -238,7 +240,9 @@ def test_chunk_memory_stays_within_the_documented_bound(monkeypatch, name, direc
              "bipartite50x200+tail2000": lambda: complete_bipartite_graph(50, 200, 2000)}[name]()
     if direction != "natural":
         monkeypatch.setattr(centrality, "_bottom_up", lambda left, reach: direction == "bottom-up")
-    peak, bound = chunk_peak_and_bound(graph, min(centrality._CHUNK, graph.node_count))
+    # a forced direction changes only the forward pass, which both variants share
+    bridges = (True, False) if direction == "natural" else (True,)
+    peak, bound = chunk_peak_and_bound(graph, min(centrality._CHUNK, graph.node_count), bridges)
     assert peak <= bound
 
 

@@ -394,6 +394,18 @@ def test_evaluate_window_below_1_exits_2(tmp_path, capsys):
     assert "argument --window" in capsys.readouterr().err
 
 
+def test_evaluate_window_past_int64_exits_0(tmp_path):
+    edges = tmp_path / "g.edges"
+    part = tmp_path / "p.csv"
+    write_small_graph(edges)
+    write_small_partition(part)
+    out_dir = tmp_path / "eval"
+    assert main(["evaluate", "--input", str(edges), "--partition", str(part),
+                 "--window", str(2**63), "--output-dir", str(out_dir), "--workers", "1"]) == 0
+    meta = json.loads((out_dir / "curve_bc_smoothed.csv.meta.json").read_text())
+    assert meta["window"] == 2**63
+
+
 EMPTY_GRAPH_RUNS = {
     "centrality": ["--output", "{d}/c.csv", "--workers", "1"],
     "indicator": ["--partition", "{d}/p.csv", "--output", "{d}/g.csv"],

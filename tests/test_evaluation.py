@@ -83,6 +83,13 @@ def test_smooth_step_hand_values():
     assert np.allclose(smooth(curve, 2).y, [0.0, 0.0, 0.5, 1.0])
 
 
+def test_smooth_window_past_int64_averages_the_whole_prefix():
+    curve = RankingCurve(x=np.arange(1, 5), y=np.array([0.1, 0.9, 0.5, 0.3]))
+    huge = smooth(curve, 2**63)
+    assert np.array_equal(huge.y, smooth(curve, 4).y)
+    assert huge.window == 2**63
+
+
 def test_smooth_validates_window():
     curve = RankingCurve(x=np.arange(1, 3), y=np.zeros(2))
     with pytest.raises(ValueError):

@@ -3,11 +3,14 @@
 The SHA-256 digests below pin the ordered accumulators ``bc``, ``l1`` and
 ``bri`` bit for bit, and the ``centrality`` CSV bytes, so a change to the
 engine that reorders a floating-point sum fails here even when it stays
-within every tolerance of the oracle tests. The ``bc`` and ``l1`` digests
-were recorded from the per-source Brandes engine that the block engine
-replaced; the ``lfr1200`` ones from the block engine whose forward pass was
-a sparse matrix product, at 18 sources per block with a 10-wide tail block
-in each chunk. The ``bri`` digests were recorded from the first engine that
+within every tolerance of the oracle tests. Each sweep sums ``bc`` and one
+more term: ``bc`` and ``bri`` are taken from the exact sweep, ``l1`` from
+the si-compat sweep, and both sweeps must give the same ``bc`` bits. All
+three were recorded from engines whose one sweep summed all three. The
+``bc`` and ``l1`` digests were recorded from the per-source Brandes engine
+that the block engine replaced; the ``lfr1200`` ones from the block engine
+whose forward pass was a sparse matrix product, at 18 sources per block
+with a 10-wide tail block in each chunk. The ``bri`` digests were recorded from the first engine that
 summed bridgeness directly in the backward pass, and the si-compat CSV
 digest of the grid from the engine before it, which formed ``si`` from the
 same ``bc`` and ``l1``. The same digests must come out at any block width
@@ -199,8 +202,12 @@ def golden_graph(name: str) -> Graph:
 
 
 def accumulator_digests(graph: Graph) -> tuple[str, ...]:
-    accumulators = _brandes_accumulate(graph, workers=1)
-    return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in accumulators)
+    """Digests of (bc, l1, bri): bc and bri from the exact sweep, l1 from the
+    si-compat sweep, whose bc must be the same bits."""
+    bc, bri = _brandes_accumulate(graph, workers=1)
+    si_bc, l1 = _brandes_accumulate(graph, workers=1, bridge=False)
+    assert bc.tobytes() == si_bc.tobytes()
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (bc, l1, bri))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from bridgeness import (
-    CentralityResult, EdgeListError, GeneratedNetwork, Graph, LfrConfig, Partition, generate,
+    EdgeListError, GeneratedNetwork, Graph, LfrConfig, Partition, generate,
 )
 from bridgeness.netgen import _weighted_index
 
@@ -173,18 +173,31 @@ def exact_decomposition(graph: Graph) -> tuple[list[Fraction], list[Fraction]]:
     return bc, bri
 
 
-def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
+@dataclass(frozen=True)
+class PairOracle:
+    """Per-node bc = bridgeness + local, and the si-compat ``si``."""
+
+    bc: np.ndarray
+    bridgeness: np.ndarray
+    local: np.ndarray
+    si: np.ndarray
+
+
+def bridgeness_bruteforce(graph: Graph) -> PairOracle:
     """Literal pair-enumeration oracle; intended for n up to a few hundred.
 
     For every node j and every unordered pair {i, k}, j is on a shortest
     i-k path iff d(i, j) + d(j, k) = d(i, k), in which case it carries
     sigma_ij * sigma_jk / sigma_ik. The neighborhood filter is applied
-    literally for the bridgeness term.
+    literally for the bridgeness term. ``si`` weights each pair by the mean
+    of ``far_i`` and ``far_k``, where ``far`` is 0 on j's neighbors and 1
+    elsewhere: a pair with one endpoint adjacent to j counts half.
     """
     n = graph.node_count
     dist, sigma = all_pairs_counts(graph)
     bc = np.zeros(n)
     bri = np.zeros(n)
+    si = np.zeros(n)
     sigma_safe = np.where(sigma > 0, sigma, 1.0)
     for j in range(n):
         through = (dist[:, j][:, None] + dist[j, :][None, :]) == dist
@@ -195,37 +208,13 @@ def bridgeness_bruteforce(graph: Graph) -> CentralityResult:
         np.fill_diagonal(frac, 0.0)
         bc[j] = frac.sum() / 2.0
         nbrs = neighbors(graph, j)
+        far = np.ones(n)
+        far[nbrs] = 0.0
+        si[j] = (frac * (far[:, None] + far[None, :]) / 2.0).sum() / 2.0
         frac[nbrs, :] = 0.0
         frac[:, nbrs] = 0.0
         bri[j] = frac.sum() / 2.0
-    return CentralityResult(bc=bc, bridgeness=bri, local=bc - bri)
-
-
-def si_compat_oracle(graph: Graph) -> np.ndarray:
-    """Instrumented pair enumeration for the source-side-filtered variant.
-
-    Pairs with both endpoints outside N(j)|{j} count fully, pairs with
-    exactly one endpoint adjacent to j count half, neighbor-neighbor pairs
-    not at all.
-    """
-    n = graph.node_count
-    dist, sigma = all_pairs_counts(graph)
-    out = np.zeros(n)
-    for j in range(n):
-        nbrs = set(map(int, neighbors(graph, j)))
-        for i in range(n):
-            for k in range(i + 1, n):
-                if j in (i, k) or sigma[i, k] == 0:
-                    continue
-                if dist[i, j] + dist[j, k] != dist[i, k]:
-                    continue
-                frac = sigma[i, j] * sigma[j, k] / sigma[i, k]
-                outside = (i not in nbrs) + (k not in nbrs)
-                if outside == 2:
-                    out[j] += frac
-                elif outside == 1:
-                    out[j] += 0.5 * frac
-    return out
+    return PairOracle(bc=bc, bridgeness=bri, local=bc - bri, si=si)
 
 
 def reference_one_level(level, rng):
