@@ -299,24 +299,6 @@ def locterm_by_degree(result: CentralityResult, graph: Graph) -> dict[int, float
     return out
 
 
-def centrality_records(
-    result: CentralityResult, graph: Graph, table: NodeTable | None = None
-) -> list[dict]:
-    """One JSON-ready record per node: id, degree, bc, bridgeness, local."""
-    table = table or NodeTable.identity(graph.node_count)
-    degrees = graph.degrees
-    return [
-        {
-            "node_id": table.id_of(v),
-            "degree": int(degrees[v]),
-            "bc": float(result.bc[v]),
-            "bridgeness": float(result.bridgeness[v]),
-            "local": float(result.local[v]),
-        }
-        for v in range(graph.node_count)
-    ]
-
-
 def write_centrality_csv(
     result: CentralityResult,
     graph: Graph,
@@ -329,14 +311,23 @@ def write_centrality_csv(
                result.bridgeness.tolist(), result.local.tolist())
 
 
+_JSON_RECORD = ('  {\n    "node_id": %s,\n    "degree": %d,\n    "bc": %r,\n'
+                '    "bridgeness": %r,\n    "local": %r\n  }')
+
+
 def write_centrality_json(
     result: CentralityResult,
     graph: Graph,
     stream: IO[str],
     table: NodeTable | None = None,
 ) -> None:
-    json.dump(centrality_records(result, graph, table), stream, indent=2)
-    stream.write("\n")
+    """Per-node records as ``json.dump(records, stream, indent=2)`` writes
+    them: ``%r`` of a finite float is the text ``json`` writes for it."""
+    table = table or NodeTable.identity(graph.node_count)
+    records = [_JSON_RECORD % row for row in zip(
+        map(json.dumps, table.ids), graph.degrees.tolist(), result.bc.tolist(),
+        result.bridgeness.tolist(), result.local.tolist(), strict=True)]
+    stream.write("[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n")
 
 
 def default_workers() -> int:

@@ -281,6 +281,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_positive_int, default=default_workers(),
                         help="sweep processes (default: the cores this process may use)")
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("communities", help="Louvain modularity partition")
     _add_graph_input(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--max-passes", type=int, default=20)
     p.add_argument("--min-gain", type=float, default=1e-7)
     p.add_argument("--output", required=True)
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--communities", type=int, required=True)
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--mean-degree", type=float, default=15.0)
     p.add_argument("--exponent", type=float, default=2.5)
     p.add_argument("--min-degree", type=int, default=12)

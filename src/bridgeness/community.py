@@ -64,11 +64,10 @@ def modularity(graph: Graph, partition: Partition) -> float:
         raise ValueError("partition does not cover the graph")
     m = graph.edge_count
     labels = partition.labels
-    internal = np.zeros(partition.community_count, dtype=np.float64)
-    cu = labels[graph.edges[:, 0]]
-    cv = labels[graph.edges[:, 1]]
-    same = cu == cv
-    np.add.at(internal, cu[same], 1.0)
+    own = np.repeat(labels, graph.degrees)  # each CSR incidence's row community
+    # an internal edge is two internal incidences; halving whole counts is exact
+    internal = np.bincount(own, weights=own == labels[graph.indices],
+                           minlength=partition.community_count) / 2.0
     comm_degree = np.bincount(labels, weights=graph.degrees, minlength=partition.community_count)
     return float((internal / m - (comm_degree / (2.0 * m)) ** 2).sum())
 

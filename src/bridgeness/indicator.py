@@ -6,8 +6,10 @@ of links between i's community and J. Nodes with only intra-community links
 get G = 0; the sole link between two communities scores a full 1.0.
 
 Memory is O(n + m) plus one dense scratch block of ``_SCRATCH`` bytes (or
-one row of C floats, if that is larger): the link counts and the touched
-(node, foreign community) pairs are kept as sorted int64 keys. The block
+one row of C floats, if that is larger). The CSR incidences are read as
+they are, each edge once from each end. The link counts are kept as
+sorted int64 keys, and each inter-community incidence writes its term into
+the block at (node, foreign community). The block
 exists because numpy's row ``sum`` adds a row's terms pairwise by column
 position, so each row's terms are written at their columns and summed there
 to give the same bits as a sum over a dense n x C row.
@@ -42,21 +44,21 @@ def global_indicator(graph: Graph, partition: Partition) -> GlobalIndicatorResul
     c = int(partition.community_count)
     if len(partition) != n:
         raise ValueError(f"partition covers {len(partition)} nodes, graph has {n}")
-    if max(n, c) * c >= 2**63:
-        raise ValueError(f"{c} communities too many: keys need max(n, C) * C < 2**63")
-    ends = graph.edges
-    comms = partition.labels[ends]
-    inter = comms[:, 0] != comms[:, 1]
-    node = ends[inter].ravel()  # every inter-community edge, from both ends
-    own = comms[inter].ravel()
-    foreign = comms[inter][:, ::-1].ravel()
-    links, counts = np.unique(own * c + foreign, return_counts=True)
-    rows, cols = np.divmod(np.unique(node * c + foreign), c)
-    values = 1.0 / counts[np.searchsorted(links, partition.labels[rows] * c + cols)]
+    if c * c >= 2**63:
+        raise ValueError(f"{c} communities too many: keys need C * C < 2**63")
+    # one entry per CSR incidence node -> neighbour, in node order
+    own = np.repeat(partition.labels, graph.degrees)
+    foreign = partition.labels[graph.indices]
+    inter = np.flatnonzero(own != foreign)  # a boolean mask index is slower
+    rows, cols = np.repeat(np.arange(n), graph.degrees)[inter], foreign[inter]
+    keys = own[inter] * c + cols
+    links, counts = np.unique(keys, return_counts=True)
+    values = 1.0 / counts[np.searchsorted(links, keys)]
     g = np.zeros(n)
     step = max(1, _SCRATCH // (8 * max(c, 1)))
     block = np.zeros((min(step, n), c))
-    # pairs are sorted by node, so each block of rows takes one slice of them
+    # incidences are sorted by node, so each block of rows takes one slice of
+    # them; a node linked to J by several edges writes one value to one cell
     bounds = np.searchsorted(rows, np.arange(0, n + step, step))
     for lo, a, b in zip(range(0, n, step), bounds[:-1], bounds[1:]):
         at = (rows[a:b] - lo, cols[a:b])

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from bridgeness import (
     Graph,
+    NodeTable,
     bridgeness_exact,
     bridgeness_si_compat,
     locterm_by_degree,
 )
 from bridgeness import centrality
-from bridgeness.centrality import write_centrality_csv, centrality_records
+from bridgeness.centrality import write_centrality_csv, write_centrality_json
 
 from util import (
     _path_counts,
@@ -364,7 +365,23 @@ def test_csv_and_json_exports():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "node_id,degree,bc,bridgeness,local"
     assert len(lines) == g.node_count + 1
-    records = centrality_records(result, g)
-    assert json.dumps(records)
+    buf = io.StringIO()
+    write_centrality_json(result, g, buf)
+    records = json.loads(buf.getvalue())
+    assert len(records) == g.node_count
     assert records[6]["bc"] == pytest.approx(9.0)
     assert set(records[0]) == {"node_id", "degree", "bc", "bridgeness", "local"}
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_json_export_matches_json_dump(n):
+    # IDs that json escapes: a quote, a backslash, a control and a non-ASCII character
+    ids = ('a"b', "c\\d", "tab\there", "\u00e9t\u00e9", "\U0001f600", "x", "7")[:n]
+    g = TRIANGLE_BRIDGE if n == 7 else Graph.from_edges(n, [])
+    result = bridgeness_exact(g)
+    records = [{"node_id": ids[v], "degree": int(g.degrees[v]), "bc": float(result.bc[v]),
+                "bridgeness": float(result.bridgeness[v]), "local": float(result.local[v])}
+               for v in range(n)]
+    buf = io.StringIO()
+    write_centrality_json(result, g, buf, NodeTable(ids=ids))
+    assert buf.getvalue() == json.dumps(records, indent=2) + "\n"

@@ -12,7 +12,7 @@ import bridgeness
 from bridgeness.centrality import default_workers
 from bridgeness.cli import build_parser, main
 
-from util import bridgeness_bruteforce, dense_indicator, ladder_graph, small_lfr_graph
+from util import bridgeness_bruteforce, dense_indicator, edge_array, ladder_graph, small_lfr_graph
 
 
 def test_worker_env_variable_is_not_read(tmp_path, monkeypatch):
@@ -188,7 +188,7 @@ def test_zero_bridgeness_is_written_as_zero(tmp_path):
 def test_overflowing_path_counts_exit_1(tmp_path, capsys, command):
     ladder = ladder_graph(660, 3)  # 3**d shortest paths overflow float64 past d = 646
     edges = tmp_path / "ladder.edges"
-    edges.write_text("".join(f"{u} {v}\n" for u, v in ladder.edges.tolist()))
+    edges.write_text("".join(f"{u} {v}\n" for u, v in edge_array(ladder).tolist()))
     part = tmp_path / "ladder.csv"
     part.write_text("".join(f"{v},{v // 990}\n" for v in range(ladder.node_count)))
     out = tmp_path / "out"
@@ -269,6 +269,35 @@ def test_generate_writes_files_and_is_reproducible(tmp_path, capsys):
     assert (tmp_path / "net.edges").read_bytes() == edges
     assert (tmp_path / "net.communities.csv").read_bytes() == comms
     assert (tmp_path / "net.provenance.json").read_bytes() == prov  # counters repeat
+
+
+SEED_RUNS = {
+    "communities": ["--input", "{d}/g.edges", "--output", "{d}/louvain.csv"],
+    "generate": ["--n", "150", "--communities", "4", "--mu", "0.15", "--min-degree", "6",
+                 "--max-degree", "20", "--mean-degree", "10", "--output-prefix", "{d}/net"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "-5", "x"])
+@pytest.mark.parametrize("command", sorted(SEED_RUNS))
+def test_seed_that_is_not_a_non_negative_integer_exits_2(tmp_path, capsys, command, seed):
+    write_small_graph(tmp_path / "g.edges")
+    argv = [command, *(arg.format(d=tmp_path) for arg in SEED_RUNS[command]), "--seed", seed]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err_text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges"]
+
+
+@pytest.mark.parametrize("command", sorted(SEED_RUNS))
+def test_seed_past_uint64_is_taken(tmp_path, command):
+    write_small_graph(tmp_path / "g.edges")
+    argv = [command, *(arg.format(d=tmp_path) for arg in SEED_RUNS[command]), "--seed", str(2**64)]
+    assert main(argv) == 0
+    prov = next(tmp_path.glob("*provenance.json"))
+    assert json.loads(prov.read_text())["config"]["seed"] == 2**64
 
 
 def test_generate_degenerate_config_exits_1(tmp_path, capsys):

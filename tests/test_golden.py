@@ -46,7 +46,7 @@ from bridgeness import centrality
 from bridgeness.centrality import _brandes_accumulate
 from bridgeness.cli import main
 
-from util import grid_graph, small_lfr_graph, star_graph
+from util import edge_array, grid_graph, small_lfr_graph, star_graph
 
 GOLDEN = {  # ordered bc, l1, bri
     "grid30": (
@@ -266,7 +266,7 @@ def test_natural_rule_takes_both_directions(monkeypatch):
 
 def network_digest(net) -> str:
     digest = hashlib.sha256()
-    digest.update(net.graph.edges.tobytes())
+    digest.update(edge_array(net.graph).tobytes())
     digest.update(net.ground_truth.labels.tobytes())
     digest.update(np.array(sorted(net.rewired_nodes), dtype=np.int64).tobytes())
     digest.update(repr(net.achieved_mu).encode())
@@ -296,7 +296,7 @@ def test_centrality_csv_bytes(tmp_path, variant):
 
 def test_grid_si_compat_csv_bytes(tmp_path):
     edges = tmp_path / "grid.edges"
-    edges.write_text("".join(f"{u} {v}\n" for u, v in golden_graph("grid30").edges.tolist()))
+    edges.write_text("".join(f"{u} {v}\n" for u, v in edge_array(golden_graph("grid30")).tolist()))
     out = tmp_path / "scores.csv"
     assert main(["centrality", "--input", str(edges), "--output", str(out),
                  "--variant", "si-compat", "--workers", "1"]) == 0
@@ -323,7 +323,7 @@ def test_messy_edge_list_matches_golden_digest(delimiter):
     graph, table = load_edge_list(io.StringIO(text), delimiter=delimiter)
     assert "01" in table.ids and "1" in table.ids and "001" in table.ids
     digest = hashlib.sha256("\n".join(table.ids).encode())
-    for a in (graph.indptr, graph.indices, graph.edges):
+    for a in (graph.indptr, graph.indices, edge_array(graph)):
         digest.update(a.tobytes())
     assert digest.hexdigest() == LOADED[delimiter]
 

@@ -1,5 +1,6 @@
 import io
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +10,18 @@ from hypothesis import strategies as st
 from bridgeness import (
     EdgeListError,
     Graph,
+    LfrConfig,
     NodeTable,
     Partition,
     PartitionError,
+    generate,
     load_edge_list,
     load_partition,
     write_edge_list,
     write_partition,
 )
 
-from util import er_graph, reference_edge_list, star_graph
+from util import edge_array, er_graph, reference_edge_list, star_graph
 
 
 def load(text, **kwargs):
@@ -81,7 +84,7 @@ def test_from_edges_rejects_other_shapes(edges):
 def test_from_edges_takes_empty_arrays(n):
     for edges in (np.empty((0, 2), dtype=np.int64), np.array([], dtype=np.int64), []):
         graph = Graph.from_edges(n, edges)
-        assert graph.edges.shape == (0, 2)
+        assert graph.edge_count == 0
         assert graph.indptr.tolist() == [0] * (n + 1)
         assert graph.indices.tolist() == []
 
@@ -116,16 +119,35 @@ def test_csr_layout_matches_sorted_adjacency():
         assert graph.indptr.dtype == graph.indices.dtype == np.int64
         assert graph.indptr.tolist() == indptr
         assert graph.indices.tolist() == indices
-        assert graph.edges.tolist() == sorted(map(list, edges))
         from_array = Graph.from_edges(n, np.array(fed, dtype=np.int64).reshape(-1, 2))
-        for name in ("edges", "indptr", "indices"):
+        for name in ("indptr", "indices"):
             assert getattr(from_array, name).tobytes() == getattr(graph, name).tobytes()
+
+
+def test_from_edges_memory_at_n_10000():
+    # the documented bound: about 48 bytes per edge above the input at the
+    # peak, and 16 m + 8 (n + 1) kept; with a stored (m, 2) edge array beside
+    # the CSR the build peaked at 67 bytes per edge and the graph kept 33
+    n = 10000
+    edges = edge_array(generate(LfrConfig(n=n, communities=300, mu=0.2, seed=3)).graph)
+    m = len(edges)
+    tracemalloc.start()
+    try:
+        graph = Graph.from_edges(n, edges)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m == graph.edge_count == 75080
+    assert peak <= 48 * m + 2**14
+    assert kept <= 16 * m + 8 * (n + 1) + 2**12
 
 
 def test_graph_arrays_are_read_only():
     graph, _ = load("a b\n")
     with pytest.raises(ValueError):
-        graph.edges[0, 0] = 7
+        graph.indptr[0] = 7
+    with pytest.raises(ValueError):
+        graph.indices[0] = 7
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -142,8 +164,9 @@ def test_edge_list_round_trip():
     buf = io.StringIO()
     write_edge_list(g, table, buf)
     g2, table2 = load(buf.getvalue())
-    original = {tuple(sorted((table.id_of(int(u)), table.id_of(int(v))))) for u, v in g.edges}
-    reloaded = {tuple(sorted((table2.id_of(int(u)), table2.id_of(int(v))))) for u, v in g2.edges}
+    original = {tuple(sorted((table.id_of(u), table.id_of(v)))) for u, v in edge_array(g).tolist()}
+    reloaded = {tuple(sorted((table2.id_of(u), table2.id_of(v))))
+                for u, v in edge_array(g2).tolist()}
     assert original == reloaded
     assert g2.edge_count == g.edge_count
 
@@ -256,6 +279,6 @@ def test_load_edge_list_matches_reference_parser(data, delimiter):
     ids, edges, self_loops, duplicates = expected
     assert list(table.ids) == ids
     assert graph.node_count == len(ids)
-    assert [tuple(e) for e in graph.edges.tolist()] == edges
+    assert [tuple(e) for e in edge_array(graph).tolist()] == edges
     counts = [r.args for r in records if r.msg.startswith("edge list cleanup")]
     assert counts == ([(self_loops, duplicates)] if self_loops or duplicates else [])

@@ -19,6 +19,13 @@ def neighbors(graph: Graph, v: int) -> np.ndarray:
     return graph.indices[graph.indptr[v]:graph.indptr[v + 1]]
 
 
+def edge_array(graph: Graph) -> np.ndarray:
+    """Each edge once as ``(u, v)`` with ``u < v``, sorted: the upper half of the CSR."""
+    rows = np.repeat(np.arange(graph.node_count), graph.degrees)
+    upper = rows < graph.indices
+    return np.column_stack((rows[upper], graph.indices[upper]))
+
+
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi graph; may be disconnected."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
@@ -302,8 +309,7 @@ def inter_community_fraction(graph: Graph, partition: Partition) -> float:
         raise ValueError(f"partition covers {len(partition)} nodes, graph has {graph.node_count}")
     if graph.edge_count == 0:
         return 0.0
-    cu = partition.labels[graph.edges[:, 0]]
-    cv = partition.labels[graph.edges[:, 1]]
+    cu, cv = partition.labels[edge_array(graph)].T
     return float((cu != cv).sum() / graph.edge_count)
 
 
@@ -311,8 +317,7 @@ def dense_link_matrix(graph: Graph, partition: Partition) -> np.ndarray:
     """Symmetric C x C inter-community link counts; internal counts on the diagonal."""
     c = partition.community_count
     counts = np.zeros((c, c), dtype=np.int64)
-    cu = partition.labels[graph.edges[:, 0]]
-    cv = partition.labels[graph.edges[:, 1]]
+    cu, cv = partition.labels[edge_array(graph)].T
     same = cu == cv
     np.add.at(counts, (cu[same], cv[same]), 1)
     np.add.at(counts, (cu[~same], cv[~same]), 1)
@@ -329,8 +334,7 @@ def dense_indicator(graph: Graph, partition: Partition) -> np.ndarray:
     """
     matrix = dense_link_matrix(graph, partition)
     touches = np.zeros((graph.node_count, partition.community_count), dtype=bool)
-    eu = graph.edges[:, 0]
-    ev = graph.edges[:, 1]
+    eu, ev = edge_array(graph).T
     cu = partition.labels[eu]
     cv = partition.labels[ev]
     inter = cu != cv
