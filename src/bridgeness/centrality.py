@@ -35,8 +35,13 @@ of the graph held in n x B arrays (column k belongs to the k-th source):
   From level 3 on, a level goes bottom-up when the unvisited cells have at
   least ``_PIECE`` fewer incidences than the frontier; levels 1 and 2 stay
   top-down, which measured faster than leaving level 2 to that rule. Either
-  way the next frontier is the cells at distance d, in cell order. Only
-  sigma and the recorded pairs outlive the pass;
+  way the next frontier is the cells at distance d, in cell order. A level
+  that kept fewer than n * B / 8 pairs finds them by sorting its succ cells
+  and dropping repeats; a wider one scans the n * B distances, at most 8
+  cells per kept pair. So a level costs what it touches, not n * B cells,
+  apart from a bottom-up level's list of the unvisited cells, and a deep
+  graph is no longer swept in O(n * B * depth). Only sigma and the recorded
+  pairs outlive the pass;
 * backward (:func:`_backward`): the recorded pairs are walked from the
   deepest level up. Each pair's ``ratio = sigma[pred] / sigma[succ]`` and
   gathered ``delta[succ]`` give pred ``ratio * (1 + delta[succ])`` into
@@ -57,7 +62,10 @@ non-finite sigma after the forward pass raises ``OverflowError``.
 
 Memory per sweeping process is bounded beyond the graph. A block holds at
 most ``_CELL_BYTES`` = 48 bytes per cell (distance, sigma and up to 32 for
-a level's cells, nodes, degrees and running sums, then sigma, delta and bri)
+a level's cells, nodes, degrees and running sums, then sigma, delta and bri;
+a frontier built from kept cells needs at most n * B / 8 int64 cells, a
+bool mask and the deduplicated result, under 2.2 bytes per cell beside the
+old frontier, while the level's nodes, degrees and running sums are freed)
 and ``_PAIR_BYTES`` = 16 per recorded pair, at most m per source. B = _BUDGET
 // (48 n + 16 m), clamped to [1, _CHUNK] and evened out over a chunk, keeps
 both within ``_BUDGET`` = 8 MiB until one source needs more (B = 1). A
@@ -131,6 +139,12 @@ def _bottom_up(left, reach):
     return left + _PIECE <= reach
 
 
+def _from_kept(kept, cells):
+    """Build the next frontier from the level's ``kept`` succ cells, not by
+    scanning all ``cells`` of the block."""
+    return 8 * kept < cells
+
+
 def _forward(indptr, indices, sources):
     """Path counts and shortest-path DAG of one block of ``sources``.
 
@@ -177,7 +191,16 @@ def _forward(indptr, indices, sources):
             dag.append(pairs)
             for _, succ in pairs:
                 dist[succ] = d
-            frontier = np.flatnonzero(dist == d)
+            if _from_kept(sum(len(succ) for _, succ in pairs), len(dist)):
+                # the level's succ cells, sorted and deduplicated: dist == d
+                frontier = np.concatenate([succ for _, succ in pairs] or [frontier[:0]])
+                frontier.sort()
+                first = np.empty(len(frontier), dtype=bool)
+                first[:1] = True
+                np.not_equal(frontier[1:], frontier[:-1], out=first[1:])
+                frontier = frontier[first]
+            else:
+                frontier = np.flatnonzero(dist == d)
     if not np.isfinite(sigma).all():
         source = sources[np.flatnonzero(~np.isfinite(sigma))[0] % width]
         raise OverflowError(f"shortest-path counts from node {source} overflow float64")

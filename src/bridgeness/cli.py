@@ -258,13 +258,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     partition = _load_partition_file(args.partition, table)
     result = bridgeness_exact(graph, workers=args.workers)
     indicator_result = global_indicator(graph, partition)
-    rows = node_report(
+    columns = node_report(
         graph, partition, result, indicator_result,
         table=table, sort_by=args.sort_by, descending=not args.ascending,
     )
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
-        write_node_report(rows, fh)
+        write_node_report(columns, fh)
     _write_provenance(out.with_suffix(out.suffix + ".provenance.json"),
                       "report", args, [Path(args.input), Path(args.partition)])
     return 0

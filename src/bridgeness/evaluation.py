@@ -149,34 +149,27 @@ def node_report(
     table: NodeTable | None = None,
     sort_by: str | None = None,
     descending: bool = True,
-) -> list[dict]:
-    """Per-node table with columns node_id, G, community, bc, bridgeness, degree."""
+) -> dict[str, list]:
+    """Per-node columns node_id, G, community, bc, bridgeness, degree, as
+    lists in row order: by node index, or stably by ``sort_by``."""
     n = graph.node_count
     if len(partition) != n or len(centrality.bc) != n or len(indicator.g) != n:
         raise ValueError("inputs cover different node sets")
     table = table or NodeTable.identity(n)
-    degrees = graph.degrees
-    rows = [
-        {
-            "node_id": table.id_of(v),
-            "G": float(indicator.g[v]),
-            "community": int(partition.labels[v]),
-            "bc": float(centrality.bc[v]),
-            "bridgeness": float(centrality.bridgeness[v]),
-            "degree": int(degrees[v]),
-        }
-        for v in range(n)
-    ]
+    columns = dict(zip(REPORT_COLUMNS, (
+        list(table.ids), indicator.g.tolist(), partition.labels.tolist(), centrality.bc.tolist(),
+        centrality.bridgeness.tolist(), graph.degrees.tolist())))
     if sort_by is not None:
         if sort_by not in REPORT_COLUMNS:
             raise ValueError(f"unknown sort column {sort_by!r}")
-        rows.sort(key=lambda row: row[sort_by], reverse=descending)
-    return rows
+        order = sorted(range(n), key=columns[sort_by].__getitem__, reverse=descending)
+        columns = {name: [column[v] for v in order] for name, column in columns.items()}
+    return columns
 
 
-def write_node_report(rows: Sequence[Mapping], stream: IO[str]) -> None:
+def write_node_report(columns: Mapping[str, Sequence], stream: IO[str]) -> None:
     write_rows(stream, ",".join(REPORT_COLUMNS) + "\n", "%s,%.12g,%d,%.12g,%.12g,%d\n",
-               *([row[column] for row in rows] for column in REPORT_COLUMNS))
+               *(columns[name] for name in REPORT_COLUMNS))
 
 
 def write_curve_csv(curve: RankingCurve, path: str) -> None:

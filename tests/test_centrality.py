@@ -21,12 +21,14 @@ from bridgeness import centrality
 from bridgeness.centrality import write_centrality_csv, write_centrality_json
 
 from util import (
+    FRONTIERS,
     _path_counts,
     bridgeness_bruteforce,
     complete_bipartite_graph,
     complete_graph,
     er_graph,
     exact_decomposition,
+    force,
     grid_graph,
     ladder_graph,
     neighbors,
@@ -193,11 +195,12 @@ def test_bridgeness_is_within_4_ulp_of_the_exact_oracle():
 def test_level_direction_does_not_change_the_accumulators(g):
     for bridge in (True, False):  # (bc, bri), then (bc, l1)
         runs = []
-        for bottom_up in (False, True):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(centrality, "_bottom_up", lambda left, reach, up=bottom_up: up)
-                runs.append(centrality._brandes_accumulate(g, workers=1, bridge=bridge))
-        assert np.array_equal(*runs)
+        for direction in ("top-down", "bottom-up"):
+            for frontier in FRONTIERS:
+                with pytest.MonkeyPatch.context() as mp:
+                    force(mp, direction, frontier)
+                    runs.append(centrality._brandes_accumulate(g, workers=1, bridge=bridge))
+        assert all(np.array_equal(runs[0], run) for run in runs[1:])
 
 
 # measured: about 400 bytes of list, tuple and array objects per recorded
@@ -239,22 +242,25 @@ def test_chunk_memory_stays_within_the_documented_bound(monkeypatch, name, direc
     graph = {"lfr300": small_lfr_graph,
              "grid30": lambda: grid_graph(30, np.random.default_rng(0)),
              "bipartite50x200+tail2000": lambda: complete_bipartite_graph(50, 200, 2000)}[name]()
-    if direction != "natural":
-        monkeypatch.setattr(centrality, "_bottom_up", lambda left, reach: direction == "bottom-up")
-    # a forced direction changes only the forward pass, which both variants share
-    bridges = (True, False) if direction == "natural" else (True,)
-    peak, bound = chunk_peak_and_bound(graph, min(centrality._CHUNK, graph.node_count), bridges)
-    assert peak <= bound
+    # a forced rule changes only the forward pass, which both variants share
+    for frontier in ("natural", *FRONTIERS):
+        force(monkeypatch, direction, frontier)
+        natural = direction == frontier == "natural"
+        peak, bound = chunk_peak_and_bound(graph, min(centrality._CHUNK, graph.node_count),
+                                           (True, False) if natural else (True,))
+        assert peak <= bound, frontier
 
 
-def test_deep_block_memory_stays_within_the_documented_bound():
+def test_deep_block_memory_stays_within_the_documented_bound(monkeypatch):
     # 10000 levels of a few pairs each: the per-level objects, not the
     # pairs, exceed the cell and pair terms (9.4 MiB against 8.8 MiB without
     # the level term). Every block of the chunk is as deep, so one is swept.
     graph = path_graph(10000)
-    peak, bound = chunk_peak_and_bound(
-        graph, centrality._block_width(graph.node_count, graph.edge_count))
-    assert peak <= bound
+    for frontier in ("natural", *FRONTIERS):
+        force(monkeypatch, frontier=frontier)
+        peak, bound = chunk_peak_and_bound(
+            graph, centrality._block_width(graph.node_count, graph.edge_count))
+        assert peak <= bound, frontier
 
 
 def test_worker_count_does_not_change_results():

@@ -215,9 +215,10 @@ def _report_fixture():
 
 def test_node_report_columns_and_rows():
     graph, partition, result, indicator = _report_fixture()
-    rows = node_report(graph, partition, result, indicator)
-    assert len(rows) == 5
-    assert all(set(row) == set(REPORT_COLUMNS) for row in rows)
+    columns = node_report(graph, partition, result, indicator)
+    assert list(columns) == list(REPORT_COLUMNS)
+    assert all(len(column) == 5 for column in columns.values())
+    assert columns["node_id"] == ["0", "1", "2", "3", "4"]
 
 
 def test_node_report_single_node_zero_row():
@@ -225,16 +226,17 @@ def test_node_report_single_node_zero_row():
     partition = Partition.from_labels([0])
     result = bridgeness_exact(graph)
     indicator = global_indicator(graph, partition)
-    row = node_report(graph, partition, result, indicator)[0]
-    assert row == {"node_id": "0", "G": 0.0, "community": 0, "bc": 0.0,
-                   "bridgeness": 0.0, "degree": 0}
+    columns = node_report(graph, partition, result, indicator)
+    assert columns == {"node_id": ["0"], "G": [0.0], "community": [0], "bc": [0.0],
+                       "bridgeness": [0.0], "degree": [0]}
 
 
 def test_node_report_sorted_by_bc():
     graph, partition, result, indicator = _report_fixture()
-    rows = node_report(graph, partition, result, indicator, sort_by="bc")
-    values = [row["bc"] for row in rows]
+    columns = node_report(graph, partition, result, indicator, sort_by="bc")
+    values = columns["bc"]
     assert values == sorted(values, reverse=True)
+    assert sorted(columns["node_id"]) == ["0", "1", "2", "3", "4"]
     with pytest.raises(ValueError):
         node_report(graph, partition, result, indicator, sort_by="nope")
 
@@ -243,9 +245,9 @@ def test_write_node_report_header():
     import io
 
     graph, partition, result, indicator = _report_fixture()
-    rows = node_report(graph, partition, result, indicator)
+    columns = node_report(graph, partition, result, indicator)
     buf = io.StringIO()
-    write_node_report(rows, buf)
+    write_node_report(columns, buf)
     assert buf.getvalue().splitlines()[0] == "node_id,G,community,bc,bridgeness,degree"
 
 

@@ -14,8 +14,11 @@ with a 10-wide tail block in each chunk. The ``bri`` digests were recorded from 
 summed bridgeness directly in the backward pass, and the si-compat CSV
 digest of the grid from the engine before it, which formed ``si`` from the
 same ``bc`` and ``l1``. The same digests must come out at any block width
-and piece size, and whichever direction, top-down or bottom-up, each BFS
-level is reached from.
+and piece size, whichever direction, top-down or bottom-up, each BFS
+level is reached from, and whichever way each next frontier is found: from
+the level's kept cells or by a scan of the block. The ``DEEP`` digests, of
+a path and a ladder thousands of levels deep, were recorded from the engine
+that found every next frontier by the scan.
 
 The generator digests were recorded from the rewiring phase that drew each
 degree-proportional target with ``rng.choice(n, p=degrees / degrees.sum())``.
@@ -29,6 +32,10 @@ per-element implementations of the parser, the CSR build and the Louvain
 level graph. They pin the Louvain labels and the ``repr`` of every pass's
 modularity, the node table and CSR arrays of a messy edge list, and the
 bytes ``generate``, ``communities`` and ``indicator`` write at n=1000.
+
+The ``report`` digests were recorded from the writer that built one dict
+per node and sorted the dicts with Python's stable sort, so ties keep node
+order under either direction.
 
 The ``evaluate`` digests were recorded from ``evaluate --detect louvain
 --seed 3``, which detected the partition itself; ``communities --seed 3``
@@ -45,8 +52,12 @@ from bridgeness import Graph, LfrConfig, LouvainConfig, generate, load_edge_list
 from bridgeness import centrality
 from bridgeness.centrality import _brandes_accumulate
 from bridgeness.cli import main
+from bridgeness.evaluation import REPORT_COLUMNS
 
-from util import edge_array, grid_graph, small_lfr_graph, star_graph
+from util import (
+    FRONTIERS, edge_array, force, grid_graph, ladder_graph, path_graph, small_lfr_graph,
+    star_graph,
+)
 
 GOLDEN = {  # ordered bc, l1, bri
     "grid30": (
@@ -83,6 +94,19 @@ GOLDEN = {  # ordered bc, l1, bri
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+DEEP = {  # ordered bc, l1, bri of a 3000-node path and of 1000 layers of 2 nodes
+    "path3000": (
+        "22dc720aca1a12c226ba199b4e3ed0f49052cddd3407852808b08697a8234792",
+        "174bbbd346c1822be4601a6bec0747269c89f8228daba71d90c5f6d4c7cca03f",
+        "a1b8d233d28d8b13b13d8d6602807c3759de6b7312f178cca5aa59f8e0d8dab2",
+    ),
+    "ladder2x1000": (
+        "17a361790820b367ed919b14becdb87197265dae2eabf033452c8bd6c7750753",
+        "8abc68fbac68d1dc6bb47f30bd759e0bab3fceedd8abc24ae4e677254b42dba4",
+        "cff1c5eac8c4a9f63161449cfa761bf92c55369fb1386714cc9f40995cabdde5",
     ),
 }
 
@@ -180,6 +204,22 @@ CLI_CSV = {
     ),
 }
 
+REPORT_EDGES = "a b\nb c\nc d\nd a\na hub\nhub 10\nhub 9\nhub 2\nc x\nx y\ny \u00e9\n\u00e9 x\n"
+REPORT_PARTITION = "a,0\nb,0\nc,0\nd,0\nhub,1\n10,1\n9,1\n2,1\nx,2\ny,2\n\u00e9,2\n"
+REPORT = {  # by --sort-by column and direction; every column has ties but node_id
+    "node_id-descending": "bc58e23cbe50a7839dd19f85e5e490678c5cb1f9244e99b9d231eba6a637f4f1",
+    "node_id-ascending": "42b6fe40b8217130b7c56fae40aa79a66818d5de2dfcdf399483c2128e922a2c",
+    "G-descending": "2d5d7dc95e8a8630426dc793f2b628242aae7f1f8ac2a88a9c4688d50c590374",
+    "G-ascending": "6cd06466f7f8a652689c0602478ffbcc8c26ec635634b7bb40c6f7b71f016526",
+    "community-descending": "f754deda1ef3b3db8fb6252e89d6aeb30f0771a0b2d7640d40ae03b47b16d0a7",
+    "community-ascending": "b5cf0179efb4c04ee733679a9b286f4f71bd864af10c401eaebfb3b1090201d9",
+    "bc-descending": "3126de4bb4f8645742d4a1b336a88c0ae9c4d3e523f960f8ab45d3e298ed6ab1",
+    "bc-ascending": "822658371e8712d24fdef984649b4a4ff246a8e1e1fd97f9719a86a82a69b491",
+    "bridgeness-descending": "6084004728deddab82cf07d0d0c5075d086a8865a113ff1b25ffec24c539743a",
+    "bridgeness-ascending": "087ba41a9722d932da70e84113541fa20b14fab828d3d1d55888d6e41bdb9f0a",
+    "degree-descending": "e8b988a6eada3489fa631d8b0934845d37267635092970dc8b401e85aa97f1aa",
+    "degree-ascending": "c49728a666321b7d943d47321f53518f3e9b47ed9149cc4d14bd8159f2cf41bf",
+}
 
 # ``centrality --variant si-compat`` on the grid30 golden graph
 GRID_SI_COMPAT_CSV = "258d021f3c3ea3560bfe293916390b548100eae3d1811c59af8bc9af58d8dc97"
@@ -215,17 +255,12 @@ def test_accumulators_match_golden_digests(name):
     assert accumulator_digests(golden_graph(name)) == GOLDEN[name]
 
 
-def force(monkeypatch, direction: str) -> None:
-    """Send every level the direction rule decides (level 3 on) ``direction``."""
-    if direction != "natural":
-        monkeypatch.setattr(centrality, "_bottom_up", lambda left, reach: direction == "bottom-up")
-
-
-@pytest.mark.parametrize("direction", ["top-down", "bottom-up"])
+@pytest.mark.parametrize("direction", ["natural", "top-down", "bottom-up"])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_forced_direction_keeps_the_bits(monkeypatch, name, direction):
-    force(monkeypatch, direction)
-    assert accumulator_digests(golden_graph(name)) == GOLDEN[name]
+    for frontier in FRONTIERS:
+        force(monkeypatch, direction, frontier)
+        assert accumulator_digests(golden_graph(name)) == GOLDEN[name], frontier
 
 
 def limit_params(name, limits, base_id, directions=("natural", "top-down", "bottom-up")):
@@ -245,23 +280,54 @@ def limit_params(name, limits, base_id, directions=("natural", "top-down", "bott
 def test_block_width_and_piece_size_keep_the_bits(monkeypatch, name, limits, direction):
     for attr, value in limits.items():
         monkeypatch.setattr(centrality, attr, value)
-    force(monkeypatch, direction)
     graph = golden_graph(name)
     if "_BUDGET" in limits:
         assert centrality._block_width(graph.node_count, graph.edge_count) == 1
-    assert accumulator_digests(graph) == GOLDEN[name]
+    for frontier in FRONTIERS:
+        force(monkeypatch, direction, frontier)
+        assert accumulator_digests(graph) == GOLDEN[name], frontier
+
+
+def record_choices(monkeypatch, rule: str) -> set:
+    """The answers the natural ``centrality.<rule>`` gives, as they are given."""
+    taken = set()
+
+    def recorded(*args, natural=getattr(centrality, rule)):
+        taken.add(natural(*args))
+        return natural(*args)
+
+    monkeypatch.setattr(centrality, rule, recorded)
+    return taken
 
 
 def test_natural_rule_takes_both_directions(monkeypatch):
-    taken = set()
-
-    def rule(left, reach, natural=centrality._bottom_up):
-        taken.add(natural(left, reach))
-        return natural(left, reach)
-
-    monkeypatch.setattr(centrality, "_bottom_up", rule)
+    taken = record_choices(monkeypatch, "_bottom_up")
     assert accumulator_digests(golden_graph("lfr300")) == GOLDEN["lfr300"]
     assert taken == {False, True}
+
+
+@pytest.mark.parametrize("name, limits", [
+    # at 64 sources per block no grid level keeps n * B / 8 pairs; one
+    # source at the centre does
+    pytest.param("grid30", {"_BUDGET": 0}, id="grid30-one-source-blocks"),
+    pytest.param("lfr300", {}, id="lfr300"),
+])
+def test_natural_rule_takes_both_frontiers(monkeypatch, name, limits):
+    for attr, value in limits.items():
+        monkeypatch.setattr(centrality, attr, value)
+    taken = record_choices(monkeypatch, "_from_kept")
+    assert accumulator_digests(golden_graph(name)) == GOLDEN[name]
+    assert taken == {False, True}
+
+
+@pytest.mark.parametrize("name, frontier", [
+    ("path3000", "natural"), ("ladder2x1000", "natural"), ("ladder2x1000", "scan")])
+def test_deep_graphs_match_golden_digests(monkeypatch, name, frontier):
+    # every level of these keeps a few cells, so the natural rule builds
+    # each frontier from them; the scan is the rule they were recorded under
+    force(monkeypatch, frontier=frontier)
+    graph = path_graph(3000) if name == "path3000" else ladder_graph(1000, 2)
+    assert accumulator_digests(graph) == DEEP[name]
 
 
 def network_digest(net) -> str:
@@ -301,6 +367,19 @@ def test_grid_si_compat_csv_bytes(tmp_path):
     assert main(["centrality", "--input", str(edges), "--output", str(out),
                  "--variant", "si-compat", "--workers", "1"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_SI_COMPAT_CSV
+
+
+@pytest.mark.parametrize("ascending", [False, True], ids=["descending", "ascending"])
+@pytest.mark.parametrize("column", REPORT_COLUMNS)
+def test_report_bytes(tmp_path, column, ascending):
+    (tmp_path / "g.edges").write_text(REPORT_EDGES, encoding="utf-8")
+    (tmp_path / "p.csv").write_text(REPORT_PARTITION, encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert main(["report", "--input", str(tmp_path / "g.edges"), "--partition",
+                 str(tmp_path / "p.csv"), "--output", str(out), "--workers", "1",
+                 "--sort-by", column, *(["--ascending"] if ascending else [])]) == 0
+    key = f"{column}-{'ascending' if ascending else 'descending'}"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT[key]
 
 
 def louvain_graph(name: str) -> Graph:

@@ -9,9 +9,22 @@ from itertools import combinations
 import numpy as np
 
 from bridgeness import (
-    EdgeListError, GeneratedNetwork, Graph, LfrConfig, Partition, generate,
+    EdgeListError, GeneratedNetwork, Graph, LfrConfig, Partition, centrality, generate,
 )
 from bridgeness.netgen import _weighted_index
+
+FRONTIERS = ("kept", "scan")  # the two ways the engine finds a next frontier
+
+
+def force(monkeypatch, direction: str = "natural", frontier: str = "natural") -> None:
+    """Send every level the direction rule decides (level 3 on) ``direction``,
+    ``top-down`` or ``bottom-up``, and build every next frontier ``frontier``:
+    from the level's ``kept`` succ cells or by a ``scan`` of the block's cells.
+    ``natural`` leaves a rule as the engine has it."""
+    if direction != "natural":
+        monkeypatch.setattr(centrality, "_bottom_up", lambda left, reach: direction == "bottom-up")
+    if frontier != "natural":
+        monkeypatch.setattr(centrality, "_from_kept", lambda kept, cells: frontier == "kept")
 
 
 def neighbors(graph: Graph, v: int) -> np.ndarray:
