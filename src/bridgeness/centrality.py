@@ -38,10 +38,12 @@ of the graph held in n x B arrays (column k belongs to the k-th source):
   way the next frontier is the cells at distance d, in cell order. A level
   that kept fewer than n * B / 8 pairs finds them by sorting its succ cells
   and dropping repeats; a wider one scans the n * B distances, at most 8
-  cells per kept pair. So a level costs what it touches, not n * B cells,
-  apart from a bottom-up level's list of the unvisited cells, and a deep
-  graph is no longer swept in O(n * B * depth). Only sigma and the recorded
-  pairs outlive the pass;
+  cells per kept pair and is faster there (on an LFR graph at n = 3000, a
+  level that kept 2 n * B pairs scanned in 64 us and sorted in 1.3 ms).
+  So a level costs what it touches, not n * B cells, apart from a
+  bottom-up level's list of the unvisited cells, and a deep graph is no
+  longer swept in O(n * B * depth). Only sigma and the recorded pairs
+  outlive the pass;
 * backward (:func:`_backward`): the recorded pairs are walked from the
   deepest level up. Each pair's ``ratio = sigma[pred] / sigma[succ]`` and
   gathered ``delta[succ]`` give pred ``ratio * (1 + delta[succ])`` into

@@ -29,7 +29,7 @@ from .evaluation import (
     cumulative_ratio_curve,
     curve_advantage,
     locterm_correlation,
-    node_report,
+    report_columns,
     smooth,
     write_curve_csv,
     write_node_report,
@@ -258,7 +258,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     partition = _load_partition_file(args.partition, table)
     result = bridgeness_exact(graph, workers=args.workers)
     indicator_result = global_indicator(graph, partition)
-    columns = node_report(
+    columns = report_columns(
         graph, partition, result, indicator_result,
         table=table, sort_by=args.sort_by, descending=not args.ascending,
     )

@@ -140,7 +140,7 @@ def locterm_correlation(maps: Iterable[Mapping[int, float]]) -> tuple[float, flo
     return r, min(p, 1.0)
 
 
-def node_report(
+def report_columns(
     graph: Graph,
     partition: Partition,
     centrality: CentralityResult,
@@ -165,6 +165,23 @@ def node_report(
         order = sorted(range(n), key=columns[sort_by].__getitem__, reverse=descending)
         columns = {name: [column[v] for v in order] for name, column in columns.items()}
     return columns
+
+
+def node_report(
+    graph: Graph,
+    partition: Partition,
+    centrality: CentralityResult,
+    indicator: GlobalIndicatorResult,
+    *,
+    table: NodeTable | None = None,
+    sort_by: str | None = None,
+    descending: bool = True,
+) -> list[dict]:
+    """Per-node table with columns node_id, G, community, bc, bridgeness,
+    degree: one dict per row of :func:`report_columns`."""
+    columns = report_columns(graph, partition, centrality, indicator,
+                             table=table, sort_by=sort_by, descending=descending)
+    return [dict(zip(REPORT_COLUMNS, row)) for row in zip(*columns.values())]
 
 
 def write_node_report(columns: Mapping[str, Sequence], stream: IO[str]) -> None:

@@ -19,7 +19,9 @@ from bridgeness import (
     node_report,
     smooth,
 )
-from bridgeness.evaluation import REPORT_COLUMNS, write_curve_csv, write_node_report
+from bridgeness.evaluation import (
+    REPORT_COLUMNS, report_columns, write_curve_csv, write_node_report,
+)
 
 
 def test_self_ranking_is_one():
@@ -215,10 +217,9 @@ def _report_fixture():
 
 def test_node_report_columns_and_rows():
     graph, partition, result, indicator = _report_fixture()
-    columns = node_report(graph, partition, result, indicator)
-    assert list(columns) == list(REPORT_COLUMNS)
-    assert all(len(column) == 5 for column in columns.values())
-    assert columns["node_id"] == ["0", "1", "2", "3", "4"]
+    rows = node_report(graph, partition, result, indicator)
+    assert len(rows) == 5
+    assert all(set(row) == set(REPORT_COLUMNS) for row in rows)
 
 
 def test_node_report_single_node_zero_row():
@@ -226,26 +227,44 @@ def test_node_report_single_node_zero_row():
     partition = Partition.from_labels([0])
     result = bridgeness_exact(graph)
     indicator = global_indicator(graph, partition)
-    columns = node_report(graph, partition, result, indicator)
-    assert columns == {"node_id": ["0"], "G": [0.0], "community": [0], "bc": [0.0],
-                       "bridgeness": [0.0], "degree": [0]}
+    row = node_report(graph, partition, result, indicator)[0]
+    assert row == {"node_id": "0", "G": 0.0, "community": 0, "bc": 0.0,
+                   "bridgeness": 0.0, "degree": 0}
 
 
 def test_node_report_sorted_by_bc():
     graph, partition, result, indicator = _report_fixture()
-    columns = node_report(graph, partition, result, indicator, sort_by="bc")
-    values = columns["bc"]
+    rows = node_report(graph, partition, result, indicator, sort_by="bc")
+    values = [row["bc"] for row in rows]
     assert values == sorted(values, reverse=True)
-    assert sorted(columns["node_id"]) == ["0", "1", "2", "3", "4"]
     with pytest.raises(ValueError):
         node_report(graph, partition, result, indicator, sort_by="nope")
+
+
+def test_node_report_rows_are_the_report_columns():
+    graph, partition, result, indicator = _report_fixture()
+    rows = node_report(graph, partition, result, indicator)
+    assert rows == [
+        {"node_id": str(v), "G": float(indicator.g[v]), "community": int(partition.labels[v]),
+         "bc": float(result.bc[v]), "bridgeness": float(result.bridgeness[v]),
+         "degree": int(graph.degrees[v])}
+        for v in range(5)
+    ]
+    assert [type(rows[0][name]) for name in REPORT_COLUMNS] == [str, float, int, float, float, int]
+    for sort_by in REPORT_COLUMNS:
+        for descending in (True, False):
+            rows = node_report(graph, partition, result, indicator,
+                               sort_by=sort_by, descending=descending)
+            columns = report_columns(graph, partition, result, indicator,
+                                     sort_by=sort_by, descending=descending)
+            assert {name: [row[name] for row in rows] for name in REPORT_COLUMNS} == columns
 
 
 def test_write_node_report_header():
     import io
 
     graph, partition, result, indicator = _report_fixture()
-    columns = node_report(graph, partition, result, indicator)
+    columns = report_columns(graph, partition, result, indicator)
     buf = io.StringIO()
     write_node_report(columns, buf)
     assert buf.getvalue().splitlines()[0] == "node_id,G,community,bc,bridgeness,degree"

@@ -36,20 +36,19 @@ def test_same_tree_matches_and_alternates(two_trees, capsys, monkeypatch):
         return real_sweep(checkout, graph)
 
     monkeypatch.setattr(sweep_pairs, "sweep", recorded)
-    assert sweep_pairs.main([*map(str, two_trees), "--rounds", "2", "--graphs", "grid30"]) == 0
+    monkeypatch.setattr(sweep_pairs, "ROUNDS", 2)
+    monkeypatch.setattr(sweep_pairs, "GRAPHS", ("grid30",))
+    assert sweep_pairs.main(list(map(str, two_trees))) == 0
     assert order == ["parent", "change", "change", "parent"]
     line = capsys.readouterr().out.strip()
     assert line.startswith("grid30: parent ") and line.endswith("/2")
 
 
-def test_differing_digests_exit_1(two_trees, capsys):
+def test_differing_digests_exit_1(two_trees, capsys, monkeypatch):
     with open(two_trees[1] / "src" / "bridgeness" / "centrality.py", "a") as fh:
         fh.write(DOUBLED)
-    assert sweep_pairs.main([*map(str, two_trees), "--rounds", "1", "--graphs", "grid30"]) == 1
+    monkeypatch.setattr(sweep_pairs, "ROUNDS", 1)
+    monkeypatch.setattr(sweep_pairs, "GRAPHS", ("grid30",))
+    assert sweep_pairs.main(list(map(str, two_trees))) == 1
     assert capsys.readouterr().out.strip().endswith("DIGESTS DIFFER")
 
-
-def test_unknown_graph_is_refused(two_trees):
-    with pytest.raises(SystemExit) as exit_:
-        sweep_pairs.main([*map(str, two_trees), "--graphs", "grid30,torus"])
-    assert exit_.value.code == 2

@@ -1,12 +1,12 @@
 """Alternate in-process engine sweeps of two checkouts over fixed graphs.
 
-    python3 tools/sweep_pairs.py PARENT_DIR CHANGE_DIR [--rounds 5] [--graphs path3000,grid30]
+    python3 tools/sweep_pairs.py PARENT_DIR CHANGE_DIR
 
-For each graph and round, runs a fresh interpreter on each checkout's
-``src`` (the change first on every other round). It builds the graph,
-times one serial exact sweep, ``_brandes_accumulate(graph, workers=1)``,
-and reports the time per source and a SHA-256 of the accumulators. The
-graphs are a 3000-node path, a ladder of 1000 layers of 2 nodes, 30x30 and
+For each graph and each of ``ROUNDS`` rounds, runs a fresh interpreter on
+each checkout's ``src`` (the change first on every other round). It builds
+the graph, times one serial exact sweep, ``_brandes_accumulate(graph,
+workers=1)``, and reports the time per source and a SHA-256 of the
+accumulators. The graphs are a 3000-node path, a ladder of 1000 layers of 2 nodes, 30x30 and
 60x60 grids with labels permuted by seed 0, and the LFR graph of
 ``generate --n 3000 --communities 90 --mu 0.2 --seed 3``. Per graph it
 prints each side's median ms per source and the rounds in which the
@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 GRAPHS = ("path3000", "ladder2x1000", "grid30", "grid60", "lfr3000")
+ROUNDS = 8  # fixed, so that timings compare between changes
 
 CHILD = """\
 import hashlib, json, sys, time
@@ -66,30 +67,17 @@ def sweep(checkout: Path, graph: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def graph_list(text: str) -> list[str]:
-    names = text.split(",")
-    unknown = sorted(set(names) - set(GRAPHS))
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown graphs {unknown}; choose from {list(GRAPHS)}")
-    return names
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--graphs", type=graph_list, default=list(GRAPHS),
-                        help="comma-separated, from " + ",".join(GRAPHS))
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
 
     sides = {"parent": args.parent, "change": args.change}
     same = True
-    for graph in args.graphs:
+    for graph in GRAPHS:
         runs = {side: [] for side in sides}
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 runs[side].append(sweep(sides[side], graph))
         digests = {run["digest"] for side in sides for run in runs[side]}
@@ -98,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         wins = sum(c < p for p, c in zip(ms["parent"], ms["change"]))
         parent, change = (statistics.median(ms[side]) for side in sides)
         print(f"{graph}: parent {parent:.3f} ms/source, change {change:.3f} ms/source "
-              f"({change / parent:.2f}x), change faster in {wins}/{args.rounds}"
+              f"({change / parent:.2f}x), change faster in {wins}/{ROUNDS}"
               + ("" if len(digests) == 1 else ", DIGESTS DIFFER"), flush=True)
     return 0 if same else 1
 
