@@ -2,6 +2,7 @@ import io
 import json
 import tracemalloc
 import warnings
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -287,7 +288,8 @@ def test_pool_starts_at_most_one_process_per_chunk(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(centrality, "ProcessPoolExecutor", RecordingPool)
+    # the pooled branch imports the pool from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     rng = np.random.default_rng(23)
     three_chunks = er_graph(130, 0.05, rng)
     serial = bridgeness_exact(three_chunks, workers=1)
@@ -317,7 +319,7 @@ def test_failed_chunk_cancels_pending_chunks(monkeypatch):
             futures.append(super().submit(*args, **kwargs))
             return futures[-1]
 
-    monkeypatch.setattr(centrality, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     ladder = ladder_graph(**OVERFLOWING_LADDER)
     with pytest.raises(OverflowError):
         bridgeness_exact(ladder, workers=2)

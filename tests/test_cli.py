@@ -141,6 +141,25 @@ def test_cli_import_loads_no_scipy(tmp_path):
         assert "'scipy" not in loaded
 
 
+def test_single_worker_runs_load_no_process_pool(tmp_path):
+    # a ring of 150 nodes with chords: three chunks of sources, so two
+    # workers start a pool
+    edges = tmp_path / "ring.edges"
+    edges.write_text("".join(f"{v} {(v + 1) % 150}\n{v} {(v + 7) % 150}\n" for v in range(150)))
+    src = str(Path(bridgeness.__file__).resolve().parents[1])
+    runs = "; ".join(
+        f"bridgeness.cli.main(['centrality', '--input', {str(edges)!r}, '--output', "
+        f"{str(tmp_path / f'w{workers}.csv')!r}, '--workers', '{workers}']); "
+        f"print('concurrent.futures.process' in sys.modules)" for workers in (1, 2))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import bridgeness.cli; "
+            f"print('concurrent.futures.process' in sys.modules); {runs}")
+    lines = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    loaded = [line for line in lines if line in ("True", "False")]
+    assert loaded == ["False", "False", "True"]
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
 def test_evaluate_writes_null_correlation_for_constant_local_ratios(tmp_path):
     # hub 0 on the ring 1..11 with three chords: diameter 2, so every node with
     # bc > 0 carries only local pairs and every mean local ratio is exactly 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -184,3 +185,18 @@ def test_last_level_zero_sweep_skips_unchanged_nodes():
     assert run.evaluations[0][0] == graph.node_count
     assert run.evaluations[0][-1] < graph.node_count
     assert len(run.moves) == len(run.evaluations) == len(run.pass_modularity)
+
+
+def test_louvain_peak_memory_at_n_10000():
+    # the documented bound, 32 m + 300 n bytes above the graph; level 0 held
+    # 13.4 MiB with a dict of unit weights per node and a fresh int per link
+    graph = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=3)).graph
+    tracemalloc.start()
+    try:
+        louvain_passes(graph, LouvainConfig(seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, m = graph.node_count, graph.edge_count
+    assert m == 75080
+    assert peak <= 32 * m + 300 * n

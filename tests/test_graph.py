@@ -125,9 +125,10 @@ def test_csr_layout_matches_sorted_adjacency():
 
 
 def test_from_edges_memory_at_n_10000():
-    # the documented bound: about 48 bytes per edge above the input at the
+    # the documented bound: 18 m + 16 (n + 1) bytes above the input at the
     # peak, and 16 m + 8 (n + 1) kept; with a stored (m, 2) edge array beside
-    # the CSR the build peaked at 67 bytes per edge and the graph kept 33
+    # the CSR the build peaked at 67 bytes per edge and the graph kept 33,
+    # and at 48 while the CSR came from the quotient and remainder of the keys
     n = 10000
     edges = edge_array(generate(LfrConfig(n=n, communities=300, mu=0.2, seed=3)).graph)
     m = len(edges)
@@ -138,8 +139,29 @@ def test_from_edges_memory_at_n_10000():
     finally:
         tracemalloc.stop()
     assert m == graph.edge_count == 75080
-    assert peak <= 48 * m + 2**14
+    assert peak <= 18 * m + 16 * (n + 1) + 2**14
     assert kept <= 16 * m + 8 * (n + 1) + 2**12
+
+
+def test_load_edge_list_memory_at_n_10000():
+    # the documented bound: under 24 bytes per line above the graph and
+    # table it returns; 97 when the kept upper-half keys went through an
+    # (m, 2) array and Graph.from_edges
+    n = 10000
+    buf = io.StringIO()
+    write_edge_list(generate(LfrConfig(n=n, communities=300, mu=0.2, seed=3)).graph,
+                    NodeTable.identity(n), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    del buf
+    tracemalloc.start()
+    try:
+        graph, table = load_edge_list(lines)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == graph.edge_count == 75080
+    assert len(table) == n
+    assert peak - kept <= 24 * len(lines)
 
 
 def test_graph_arrays_are_read_only():
@@ -236,14 +258,21 @@ _PADS = st.sampled_from(["", " ", "\t", "  "])
 
 @st.composite
 def edge_list_lines(draw, delimiter):
-    """Edge lines with padding, plus blank, comment and malformed lines."""
+    """Edge lines with padding, plus blank, comment and malformed lines,
+    repeats of earlier edges in either orientation, and LF or CRLF ends."""
     lines = []
+    edges = []
     for _ in range(draw(st.integers(0, 25))):
-        kind = draw(st.sampled_from(["edge"] * 6 + ["loop", "blank", "comment", "bad"]))
+        kind = draw(st.sampled_from(["edge"] * 6 + ["loop", "repeat", "blank", "comment", "bad"]))
         left, right = draw(_PADS), draw(_PADS)
         sep = f"{draw(_PADS)},{draw(_PADS)}" if delimiter == "," else draw(_PADS) or " "
         u = draw(_TOKENS)
         v = u if kind == "loop" else draw(_TOKENS)
+        if kind == "repeat" and edges:
+            u, v = draw(st.sampled_from(edges))
+            if draw(st.booleans()):
+                u, v = v, u
+        edges.append((u, v))
         if kind == "blank":
             lines.append(left)
         elif kind == "comment":
@@ -253,7 +282,7 @@ def edge_list_lines(draw, delimiter):
                                               .filter(lambda t: len(t) != 2))) + right)
         else:
             lines.append(f"{left}{u}{sep}{v}{right}")
-    return [line + "\n" for line in lines]
+    return [line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -276,9 +305,10 @@ def test_load_edge_list_matches_reference_parser(data, delimiter):
         graph, table = load_edge_list(lines, delimiter=delimiter)
     finally:
         logger.removeHandler(handler)
-    ids, edges, self_loops, duplicates = expected
+    ids, reference, self_loops, duplicates = expected
     assert list(table.ids) == ids
-    assert graph.node_count == len(ids)
-    assert [tuple(e) for e in edge_array(graph).tolist()] == edges
+    assert graph.node_count == reference.node_count
+    for name in ("indptr", "indices"):
+        assert getattr(graph, name).tobytes() == getattr(reference, name).tobytes()
     counts = [r.args for r in records if r.msg.startswith("edge list cleanup")]
     assert counts == ([(self_loops, duplicates)] if self_loops or duplicates else [])

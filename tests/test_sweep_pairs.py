@@ -52,3 +52,23 @@ def test_differing_digests_exit_1(two_trees, capsys, monkeypatch):
     assert sweep_pairs.main(list(map(str, two_trees))) == 1
     assert capsys.readouterr().out.strip().endswith("DIGESTS DIFFER")
 
+
+
+def test_rounds_that_waited_for_the_cpu_are_flagged(capsys, monkeypatch):
+    calls = []
+
+    def fake_sweep(checkout, graph):
+        calls.append(checkout.name)
+        # the parent's third run got a quarter of the CPU for its wall time
+        waited = checkout.name == "parent" and calls.count("parent") == 3
+        return {"ms_per_source": 1.0, "wall_s": 2.0, "cpu_s": 0.5 if waited else 2.0,
+                "digest": "same"}
+
+    monkeypatch.setattr(sweep_pairs, "sweep", fake_sweep)
+    monkeypatch.setattr(sweep_pairs, "ROUNDS", 4)
+    monkeypatch.setattr(sweep_pairs, "GRAPHS", ("grid30",))
+    assert sweep_pairs.main(["parent", "change"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert "parent CPU/wall low in rounds [3] (kept)" in line
+    assert "change CPU/wall" not in line
+    assert line.endswith("change faster in 0/4")

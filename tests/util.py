@@ -95,9 +95,9 @@ def small_lfr_graph() -> Graph:
 def reference_edge_list(lines, *, delimiter=None):
     """Plain-Python edge-list parser, one dict lookup per token.
 
-    Returns ``(ids, edges, self_loops, duplicates)``: IDs in order of first
-    appearance, the sorted ``(lo, hi)`` index pairs of the kept edges, and
-    the two cleanup counts ``load_edge_list`` logs. Malformed lines and
+    Returns ``(ids, graph, self_loops, duplicates)``: IDs in order of first
+    appearance, ``Graph.from_edges`` of the kept ``(lo, hi)`` index pairs,
+    and the two cleanup counts ``load_edge_list`` logs. Malformed lines and
     node IDs that contain ``,`` or start with ``#`` raise the same
     ``EdgeListError`` message.
     """
@@ -133,7 +133,7 @@ def reference_edge_list(lines, *, delimiter=None):
             duplicates += 1
         else:
             edges.add((min(u, v), max(u, v)))
-    return ids, sorted(edges), self_loops, duplicates
+    return ids, Graph.from_edges(len(ids), sorted(edges)), self_loops, duplicates
 
 
 def _path_counts(adj, s):
@@ -243,7 +243,7 @@ def reference_one_level(level, rng):
     The reference for ``community._one_level``, with the same return value:
     the communities, and the nodes moved and evaluated per sweep.
     """
-    adj, strength = level.adj, level.strength
+    adj, links, strength = level.adj, level.links, level.strength
     n = len(adj)
     two_m = 2.0 * level.total_weight
     comm = list(range(n))
@@ -257,7 +257,7 @@ def reference_one_level(level, rng):
             cv = comm[v]
             kv = strength[v]
             to_comm = {}
-            for w, weight in adj[v].items():
+            for w, weight in links(adj[v]):
                 to_comm[comm[w]] = to_comm.get(comm[w], 0.0) + weight
             comm_strength[cv] -= kv
             best_comm = cv

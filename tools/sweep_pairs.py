@@ -10,9 +10,13 @@ accumulators. The graphs are a 3000-node path, a ladder of 1000 layers of 2 node
 60x60 grids with labels permuted by seed 0, and the LFR graph of
 ``generate --n 3000 --communities 90 --mu 0.2 --seed 3``. Per graph it
 prints each side's median ms per source and the rounds in which the
-change was faster. It exits 1 if the two sides' digests differ on any
-graph; timings are then printed but say nothing about a like-for-like
-change.
+change was faster. The child also reports the CPU seconds of its sweep
+(``time.process_time``). As in ``tools/bench_pairs.py``, a round whose
+CPU/wall is below ``FLAG_BELOW`` of its side's median for that graph is
+flagged: it waited for the CPU, most likely behind other processes.
+Flagged rounds are named and kept in every median. It exits 1 if the two
+sides' digests differ on any graph; timings are then printed but say
+nothing about a like-for-like change.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from pathlib import Path
 
 GRAPHS = ("path3000", "ladder2x1000", "grid30", "grid60", "lfr3000")
 ROUNDS = 8  # fixed, so that timings compare between changes
+FLAG_BELOW = 0.85  # of the side's median CPU/wall
 
 CHILD = """\
 import hashlib, json, sys, time
@@ -49,10 +54,11 @@ elif name.startswith("grid"):
     graph = grid(int(name[4:]))
 else:
     graph = generate(LfrConfig(n=3000, communities=90, mu=0.2, seed=3)).graph
-start = time.perf_counter()
+cpu, start = time.process_time(), time.perf_counter()
 sums = _brandes_accumulate(graph, workers=1)
-seconds = time.perf_counter() - start
+seconds, cpu = time.perf_counter() - start, time.process_time() - cpu
 print(json.dumps({"ms_per_source": 1e3 * seconds / graph.node_count,
+                  "wall_s": seconds, "cpu_s": cpu,
                   "digest": hashlib.sha256(sums.tobytes()).hexdigest()}))
 """
 
@@ -65,6 +71,13 @@ def sweep(checkout: Path, graph: str) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{checkout} {graph} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def flagged_rounds(runs: list[dict]) -> list[int]:
+    """Rounds (from 1) whose CPU/wall is below ``FLAG_BELOW`` of the median."""
+    ratios = [run["cpu_s"] / run["wall_s"] for run in runs]
+    median = statistics.median(ratios)
+    return [i for i, ratio in enumerate(ratios, start=1) if ratio < FLAG_BELOW * median]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,8 +98,10 @@ def main(argv: list[str] | None = None) -> int:
         ms = {side: [run["ms_per_source"] for run in runs[side]] for side in sides}
         wins = sum(c < p for p, c in zip(ms["parent"], ms["change"]))
         parent, change = (statistics.median(ms[side]) for side in sides)
+        flags = "".join(f", {side} CPU/wall low in rounds {rounds} (kept)"
+                        for side in sides if (rounds := flagged_rounds(runs[side])))
         print(f"{graph}: parent {parent:.3f} ms/source, change {change:.3f} ms/source "
-              f"({change / parent:.2f}x), change faster in {wins}/{ROUNDS}"
+              f"({change / parent:.2f}x){flags}, change faster in {wins}/{ROUNDS}"
               + ("" if len(digests) == 1 else ", DIGESTS DIFFER"), flush=True)
     return 0 if same else 1
 
