@@ -30,10 +30,15 @@ of the graph held in n x B arrays (column k belongs to the k-th source):
 * forward (:func:`_forward`), one level per step: the incidences from
   frontier cells into unvisited cells are kept, found from the frontier
   (top-down) or from the unvisited cells (bottom-up; Beamer, Asanovic and
-  Patterson, SC'12). Each kept (pred, succ) pair adds sigma[pred] to
-  sigma[succ] by ``np.add.at`` and is recorded as a shortest-path DAG edge.
+  Patterson, SC'12). A cell's incidences are its node's rows of the slot
+  table (:class:`_Slots`), ``_SLOT`` = 4 steps to neighbor cells per row,
+  so a piece of cells is expanded by one ``take`` of their rows, and a
+  piece whose cells all have one row (every cell of degree <= 4) takes
+  their first rows without building a ragged range. Each kept (pred, succ)
+  pair adds sigma[pred] to sigma[succ] by ``np.add.at`` and is recorded as
+  a shortest-path DAG edge.
   From level 3 on, a level goes bottom-up when the unvisited cells have at
-  least ``_PIECE`` fewer incidences than the frontier; levels 1 and 2 stay
+  least ``_PIECE`` fewer lanes than the frontier; levels 1 and 2 stay
   top-down, which measured faster than leaving level 2 to that rule. Either
   way the next frontier is the cells at distance d, in cell order. A level
   that kept fewer than n * B / 8 pairs finds them by sorting its succ cells
@@ -43,7 +48,7 @@ of the graph held in n x B arrays (column k belongs to the k-th source):
   So a level costs what it touches, not n * B cells, apart from a
   bottom-up level's list of the unvisited cells, and a deep graph is no
   longer swept in O(n * B * depth). Only sigma and the recorded pairs
-  outlive the pass;
+  outlive the pass, beside the slot table, which serves every block;
 * backward (:func:`_backward`): the recorded pairs are walked from the
   deepest level up. Each pair's ``ratio = sigma[pred] / sigma[succ]`` and
   gathered ``delta[succ]`` give pred ``ratio * (1 + delta[succ])`` into
@@ -64,20 +69,24 @@ non-finite sigma after the forward pass raises ``OverflowError``.
 
 Memory per sweeping process is bounded beyond the graph. A block holds at
 most ``_CELL_BYTES`` = 48 bytes per cell (distance, sigma and up to 32 for
-a level's cells, nodes, degrees and running sums, then sigma, delta and bri;
-a frontier built from kept cells needs at most n * B / 8 int64 cells, a
-bool mask and the deduplicated result, under 2.2 bytes per cell beside the
-old frontier, while the level's nodes, degrees and running sums are freed)
+a level's cells, nodes, first rows, lane counts and running sums, nodes
+freed before the sums, then sigma, delta and bri; a frontier built from
+kept cells needs at most n * B / 8 int64 cells, a bool mask and the
+deduplicated result, under 2.2 bytes per cell beside the old frontier,
+while the level's first rows, lane counts and running sums are freed)
 and ``_PAIR_BYTES`` = 16 per recorded pair, at most m per source. B = _BUDGET
 // (48 n + 16 m), clamped to [1, _CHUNK] and evened out over a chunk, keeps
-both within ``_BUDGET`` = 8 MiB until one source needs more (B = 1). A
-table of 8 bytes per incidence maps each cell to its neighbors'. Pieces of
-about ``_PIECE`` = 8192 incidences, at most 64 bytes each, hold at most
-64 * (8192 + max degree) bytes. The recorded DAG also holds a list per BFS
-level and a tuple and two arrays per piece, about 0.4 KB per level (the
-tests bound it by 512 bytes), which only deep graphs feel: 4.6 MiB on one
-block of a 12000-node path. B does not reserve it: n levels a priori would
-halve B on LFR graphs at n = 10000 and take the whole budget by n = 21000.
+both within ``_BUDGET`` = 8 MiB until one source needs more (B = 1). The
+slot table is built once per sweeping process and lives through every
+block: a node of degree k has max(1, ceil(k / 4)) rows of 32 bytes, at most
+n + m / 2 rows in all, and each node's first row and lane count take 16
+bytes, so it holds at most 48 n + 16 m bytes. Pieces of about ``_PIECE`` =
+8192 lanes, at most 64 bytes each, hold at most 64 * (8195 + max degree)
+bytes. The recorded DAG also holds a list per BFS level and a tuple and
+two arrays per piece, about 0.4 KB per level (the tests bound it by 512
+bytes), which only deep graphs feel: 4.6 MiB on one block of a 12000-node
+path. B does not reserve it: n levels a priori would halve B on LFR graphs
+at n = 10000 and take the whole budget by n = 21000.
 
 Sources are processed in fixed chunks of ``_CHUNK`` and chunk partials are
 reduced in chunk order, so results are identical for any worker count.
@@ -97,7 +106,8 @@ _CHUNK = 64  # sources per reduction unit; fixed, worker-count independent
 _BUDGET = 1 << 23  # bytes for the n x B arrays and the recorded DAG of one block
 _CELL_BYTES = 48  # most bytes held at once per (node, source) cell
 _PAIR_BYTES = 16  # bytes per recorded DAG pair, at most m per source
-_PIECE = 1 << 13  # incidences per expansion piece, at most 64 bytes each
+_PIECE = 1 << 13  # slot-table lanes per expansion piece, at most 64 bytes each
+_SLOT = 4  # lanes per slot-table row
 
 
 @dataclass(frozen=True)
@@ -121,13 +131,45 @@ def _block_width(n: int, m: int) -> int:
 
 def _ragged_arange(starts, counts):
     """``arange(s, s + c)`` for each (s, c) pair, concatenated."""
-    first = np.cumsum(counts) - counts
-    return np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
+    first = counts.cumsum() - counts
+    return np.arange(first[-1] + counts[-1]) + (starts - first).repeat(counts)
+
+
+class _Slots:
+    """A graph's neighbor rows cut into rows of ``_SLOT`` lanes: the slot table.
+
+    Node v owns ``lanes[v] / _SLOT`` >= 1 rows from row ``first[v]``; its
+    neighbors w fill its lanes in order, each as the step (w - v) * width
+    from v's cell of a column to w's. The last row is padded with 0, the
+    step to the cell itself, which no level keeps: top-down keeps far cells
+    at distance -1 from frontier cells, bottom-up far cells at d - 1 from
+    unvisited cells. One table serves a sweeping process; :meth:`scaled`
+    rescales it in place for each block width.
+    """
+
+    def __init__(self, indptr, indices):
+        degree = np.diff(indptr)
+        rows = np.maximum(-(-degree // _SLOT), 1)  # a node without neighbors has one too
+        self.first = np.cumsum(rows) - rows
+        self.lanes = rows * _SLOT
+        self.edges = len(indices) // 2
+        self.table = np.zeros((int(rows.sum()), _SLOT), dtype=np.int64)
+        owner = np.repeat(np.arange(len(degree)), degree)
+        self.table.reshape(-1)[_ragged_arange(self.first * _SLOT, degree)] = indices - owner
+        self.width = 1
+
+    def scaled(self, width):
+        """The table with its steps for blocks of ``width`` sources."""
+        if width != self.width:
+            self.table //= self.width
+            self.table *= width
+            self.width = width
+        return self.table
 
 
 def _pieces(ends):
     """Slices of consecutive items, by the running sums ``ends`` of their
-    incidence counts, each holding less than ``_PIECE`` + its first count."""
+    lane counts, each holding less than ``_PIECE`` + its first count."""
     if len(ends) == 0 or ends[-1] <= _PIECE:
         return [slice(None)] if len(ends) else []
     cuts = np.searchsorted(ends, np.arange(_PIECE, ends[-1], _PIECE), side="right")
@@ -136,7 +178,7 @@ def _pieces(ends):
 
 
 def _bottom_up(left, reach):
-    """Expand the ``left`` incidences of the unvisited cells, not the frontier's."""
+    """Expand the ``left`` lanes of the unvisited cells, not the frontier's ``reach``."""
     return left + _PIECE <= reach
 
 
@@ -146,7 +188,7 @@ def _from_kept(kept, cells):
     return 8 * kept < cells
 
 
-def _forward(indptr, indices, sources):
+def _forward(slots, sources):
     """Path counts and shortest-path DAG of one block of ``sources``.
 
     A cell is a (node, column) pair, flattened to node * B + column, and
@@ -154,54 +196,63 @@ def _forward(indptr, indices, sources):
     pairs from level d - 1 to level d, in pieces; the level-1 pieces are
     sorted by pred, then succ.
     """
-    n, width = len(indptr) - 1, len(sources)
-    degree = np.diff(indptr)
-    # incidence v -> w moves a cell by (w - v) * B: the far cell = near + step
-    step = (indices - np.repeat(np.arange(n), degree)) * width
-    dist = np.full(n * width, -1, dtype=np.int32)
-    sigma = np.zeros(n * width)
+    width = len(sources)
+    first, lanes, table = slots.first, slots.lanes, slots.scaled(width)
+    dist = np.full(len(first) * width, -1, dtype=np.int32)
+    sigma = np.zeros(len(dist))
     frontier = sources * width + np.arange(width)
     dist[frontier] = 0
     sigma[frontier] = 1.0
-    left = width * len(indices)  # incidences of the cells not yet reached
+    left = width * table.size  # lanes of the cells not yet reached
     dag = []  # per level d >= 1: the (pred, succ) cell pairs from level d-1 to d
     with np.errstate(over="ignore"):  # an overflow raises below
         while len(frontier):
             d = len(dag) + 1
             cells, nodes = frontier, frontier // width
-            counts = degree[nodes]
-            total = np.cumsum(counts)
+            counts, rows = lanes[nodes], first[nodes]
+            del nodes  # freed before the running sums (_CELL_BYTES)
+            total = counts.cumsum()
             left -= total[-1]
             bottom_up = d > 2 and _bottom_up(left, total[-1])  # levels 1-2: top-down is faster
             if bottom_up:  # the unvisited cells find their preds at dist d - 1
-                cells = np.flatnonzero(dist < 0)
+                cells = (dist < 0).nonzero()[0]
                 nodes = cells // width
-                counts = degree[nodes]
-                total = np.cumsum(counts)
+                counts, rows = lanes[nodes], first[nodes]
+                del nodes
+                total = counts.cumsum()
+            one_row = len(cells) and total[-1] == _SLOT * len(cells)  # each cell has one row
             pairs, want = [], d - 1 if bottom_up else -1  # the far ends' dist
             for part in _pieces(total):
-                cnt = counts[part]
-                near = np.repeat(cells[part], cnt)
-                far = near + step[_ragged_arange(indptr[nodes[part]], cnt)]
-                keep = np.flatnonzero(dist[far] == want)
+                if one_row:
+                    near = cells[part].repeat(_SLOT)
+                    slot = rows[part]
+                else:
+                    near = cells[part].repeat(counts[part])
+                    slot = _ragged_arange(rows[part], counts[part] // _SLOT)
+                far = near + table.take(slot, axis=0).ravel()
+                keep = (dist[far] == want).nonzero()[0]
                 if len(keep):  # an empty piece is not recorded: each costs two arrays
                     pred, succ = (far[keep], near[keep]) if bottom_up else (near[keep], far[keep])
                     np.add.at(sigma, succ, sigma[pred])
                     pairs.append((pred, succ))
-            del cells, nodes, counts, total  # freed before the next frontier (_CELL_BYTES)
+            del cells, rows, counts, total  # freed before the next frontier (_CELL_BYTES)
             dag.append(pairs)
-            for _, succ in pairs:
+            kept = [succ for _, succ in pairs]
+            for succ in kept:
                 dist[succ] = d
-            if _from_kept(sum(len(succ) for _, succ in pairs), len(dist)):
+            if _from_kept(sum(map(len, kept)), len(dist)):
                 # the level's succ cells, sorted and deduplicated: dist == d
-                frontier = np.concatenate([succ for _, succ in pairs] or [frontier[:0]])
+                if len(kept) == 1:
+                    frontier = kept[0].copy()
+                else:
+                    frontier = np.concatenate(kept or [frontier[:0]])
                 frontier.sort()
-                first = np.empty(len(frontier), dtype=bool)
-                first[:1] = True
-                np.not_equal(frontier[1:], frontier[:-1], out=first[1:])
-                frontier = frontier[first]
+                first_seen = np.empty(len(frontier), dtype=bool)
+                first_seen[:1] = True
+                np.not_equal(frontier[1:], frontier[:-1], out=first_seen[1:])
+                frontier = frontier[first_seen]
             else:
-                frontier = np.flatnonzero(dist == d)
+                frontier = (dist == d).nonzero()[0]
     if not np.isfinite(sigma).all():
         source = sources[np.flatnonzero(~np.isfinite(sigma))[0] % width]
         raise OverflowError(f"shortest-path counts from node {source} overflow float64")
@@ -232,27 +283,27 @@ def _backward(sigma, dag, width, sums, bridge):
             np.add.at(term, succ // width, delta[succ])
 
 
-def _accumulate_chunk(indptr, indices, lo, hi, bridge):
+def _accumulate_chunk(slots, lo, hi, bridge):
     """Sum per-source (bc, bri) or (bc, l1) rows over sources lo..hi-1 in order."""
-    n = len(indptr) - 1
+    n = len(slots.first)
     sums = np.zeros((2, n))
-    width = _block_width(n, len(indices) // 2)
+    width = _block_width(n, slots.edges)
     for start in range(lo, hi, width):
         sources = np.arange(start, min(start + width, hi))
-        _backward(*_forward(indptr, indices, sources), len(sources), sums, bridge)
+        _backward(*_forward(slots, sources), len(sources), sums, bridge)
     return sums
 
 
-_WORKER_GRAPH: tuple | None = None
+_WORKER_SLOTS: _Slots | None = None
 
 
 def _worker_init(indptr, indices):
-    global _WORKER_GRAPH
-    _WORKER_GRAPH = (indptr, indices)
+    global _WORKER_SLOTS
+    _WORKER_SLOTS = _Slots(indptr, indices)
 
 
 def _worker_chunk(bounds):
-    return _accumulate_chunk(*_WORKER_GRAPH, *bounds)
+    return _accumulate_chunk(_WORKER_SLOTS, *bounds)
 
 
 def _brandes_accumulate(graph: Graph, workers: int = 1, bridge: bool = True):
@@ -269,8 +320,8 @@ def _brandes_accumulate(graph: Graph, workers: int = 1, bridge: bool = True):
     bounds = [(lo, min(lo + _CHUNK, n), bridge) for lo in range(0, n, _CHUNK)]
     workers = min(workers, len(bounds))
     if workers <= 1:
-        return sum((_accumulate_chunk(graph.indptr, graph.indices, *chunk) for chunk in bounds),
-                   np.zeros((2, n)))
+        slots = _Slots(graph.indptr, graph.indices) if bounds else None
+        return sum((_accumulate_chunk(slots, *chunk) for chunk in bounds), np.zeros((2, n)))
     # imported here: loading the process pool costs every other command
     # about 1.6 MiB of RSS and tens of milliseconds
     from concurrent.futures import ProcessPoolExecutor

@@ -128,6 +128,20 @@ def test_oracle_equivalence_random_graphs():
         assert np.all(np.abs(bridgeness_exact(g).bc - brute.bc) / scale < 1e-9)
 
 
+@pytest.mark.parametrize("isolated", [1, 2])
+def test_level_of_cells_without_neighbors_and_with_two_slot_rows(isolated):
+    # one block: level 1 holds the cells of the isolated nodes (one padding
+    # row each) beside the centre's (8 neighbors, two rows). With no row
+    # for an isolated node, one of them and the centre would sum to as many
+    # rows as cells, and the level would be read as one row per cell.
+    star = Graph.from_edges(isolated + 9, [(isolated, isolated + v) for v in range(1, 9)])
+    assert centrality._block_width(star.node_count, star.edge_count) >= star.node_count
+    result = bridgeness_exact(star, workers=1)
+    bc, bri = exact_decomposition(star)
+    assert result.bc.tolist() == [float(x) for x in bc]
+    assert result.bridgeness.tolist() == [float(x) for x in bri]
+
+
 def test_decomposition_and_ordering_invariants():
     rng = np.random.default_rng(5)
     graphs = [
@@ -210,11 +224,16 @@ LEVEL_BYTES = 512
 
 
 def chunk_peak_and_bound(graph, hi, bridges=(True,)):
-    """``tracemalloc`` peak of sweeping sources 0..hi-1 as one chunk, the
-    largest over the exact (``True``) and si-compat (``False``) ``bridges``,
-    and its documented bound: the block's cells and recorded pairs, the
-    8-byte step table per incidence, one expansion piece, the chunk's two
-    partial sums and ``LEVEL_BYTES`` per BFS level of its deepest block."""
+    """``tracemalloc`` peak of building the slot table and sweeping sources
+    0..hi-1 as one chunk, the largest over the exact (``True``) and
+    si-compat (``False``) ``bridges``, and its documented bound: the block's
+    cells and recorded pairs, 16 m for the slot table, one expansion piece,
+    the chunk's two partial sums and ``LEVEL_BYTES`` per BFS level of its
+    deepest block. The table holds max(1, ceil(k / 4)) rows of 32 bytes per
+    node of degree k, at most n + m / 2 rows, and 16 bytes per node of first
+    rows and lane counts: at most 48 n + 16 m. The bound keeps the 16 m of
+    the 8-byte step per incidence the table replaced; the 48 n fits in the
+    slack of the cell term (peaks of 0.51-0.80 of the bound below)."""
     n, m = graph.node_count, graph.edge_count
     width = centrality._block_width(n, m)
     adj = [neighbors(graph, v).tolist() for v in range(n)]
@@ -226,7 +245,8 @@ def chunk_peak_and_bound(graph, hi, bridges=(True,)):
     for bridge in bridges:
         tracemalloc.start()
         try:
-            centrality._accumulate_chunk(graph.indptr, graph.indices, 0, hi, bridge)
+            centrality._accumulate_chunk(centrality._Slots(graph.indptr, graph.indices), 0, hi,
+                                          bridge)
             peak = max(peak, tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

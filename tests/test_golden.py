@@ -13,12 +13,12 @@ whose forward pass was a sparse matrix product, at 18 sources per block
 with a 10-wide tail block in each chunk. The ``bri`` digests were recorded from the first engine that
 summed bridgeness directly in the backward pass, and the si-compat CSV
 digest of the grid from the engine before it, which formed ``si`` from the
-same ``bc`` and ``l1``. The same digests must come out at any block width
-and piece size, whichever direction, top-down or bottom-up, each BFS
-level is reached from, and whichever way each next frontier is found: from
-the level's kept cells or by a scan of the block. The ``DEEP`` digests, of
-a path and a ladder thousands of levels deep, were recorded from the engine
-that found every next frontier by the scan.
+same ``bc`` and ``l1``. The same digests must come out at any block width,
+piece size and slot-table row width, whichever direction, top-down or
+bottom-up, each BFS level is reached from, and whichever way each next
+frontier is found: from the level's kept cells or by a scan of the block.
+The ``DEEP`` digests, of a path and a ladder thousands of levels deep, were
+recorded from the engine that found every next frontier by the scan.
 
 The generator digests were recorded from the rewiring phase that drew each
 degree-proportional target with ``rng.choice(n, p=degrees / degrees.sum())``.
@@ -286,6 +286,24 @@ def test_block_width_and_piece_size_keep_the_bits(monkeypatch, name, limits, dir
     for frontier in FRONTIERS:
         force(monkeypatch, direction, frontier)
         assert accumulator_digests(graph) == GOLDEN[name], frontier
+
+
+@pytest.mark.parametrize("slot", [1, 2, 64])
+@pytest.mark.parametrize("name", ["grid30", "lfr300", "ladder2x1000"])
+def test_slot_width_keeps_the_bits(monkeypatch, name, slot):
+    # one lane per row sends every level through the ragged expansion; 64
+    # lanes give every lfr300 cell one row. The ladder, 1000 levels deep,
+    # is swept only exactly: the slot width reaches the forward pass alone,
+    # which the si-compat sweep shares.
+    monkeypatch.setattr(centrality, "_SLOT", slot)
+    for frontier in FRONTIERS:
+        force(monkeypatch, frontier=frontier)
+        if name in DEEP:
+            sums = _brandes_accumulate(ladder_graph(1000, 2), workers=1)
+            bc, bri = (hashlib.sha256(a.tobytes()).hexdigest() for a in sums)
+            assert (bc, bri) == DEEP[name][::2], frontier
+        else:
+            assert accumulator_digests(golden_graph(name)) == GOLDEN[name], frontier
 
 
 def record_choices(monkeypatch, rule: str) -> set:
