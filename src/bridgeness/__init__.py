@@ -21,7 +21,6 @@ from .evaluation import (
     cumulative_ratio_curve,
     curve_advantage,
     locterm_correlation,
-    node_report,
     smooth,
 )
 from .graph import (
@@ -73,5 +72,4 @@ __all__ = [
     "smooth",
     "curve_advantage",
     "locterm_correlation",
-    "node_report",
 ]

@@ -167,23 +167,6 @@ def report_columns(
     return columns
 
 
-def node_report(
-    graph: Graph,
-    partition: Partition,
-    centrality: CentralityResult,
-    indicator: GlobalIndicatorResult,
-    *,
-    table: NodeTable | None = None,
-    sort_by: str | None = None,
-    descending: bool = True,
-) -> list[dict]:
-    """Per-node table with columns node_id, G, community, bc, bridgeness,
-    degree: one dict per row of :func:`report_columns`."""
-    columns = report_columns(graph, partition, centrality, indicator,
-                             table=table, sort_by=sort_by, descending=descending)
-    return [dict(zip(REPORT_COLUMNS, row)) for row in zip(*columns.values())]
-
-
 def write_node_report(columns: Mapping[str, Sequence], stream: IO[str]) -> None:
     write_rows(stream, ",".join(REPORT_COLUMNS) + "\n", "%s,%.12g,%d,%.12g,%.12g,%d\n",
                *(columns[name] for name in REPORT_COLUMNS))

@@ -16,7 +16,10 @@ Memory, for m edges (or edge lines) and n nodes: the graph keeps
 ``18 m + 16 (n + 1)`` above its input; ``load_edge_list`` holds a list of
 two references per line while it parses, and at its peak under
 ``24 m`` bytes more than the graph and table it returns (13 bytes per
-line on the 75,080-line edge list of ``generate --n 10000 --seed 3``).
+line on the 75,080-line edge list of ``generate --n 10000 --seed 3``);
+:func:`write_edge_list` peaks at ``34 m + 8 (n + 1)`` bytes while it
+picks each edge's endpoints, then holds ``16 m`` plus about 100 bytes per
+line of one chunk of ``_WRITE_CHUNK`` lines.
 """
 from __future__ import annotations
 
@@ -28,6 +31,8 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+_WRITE_CHUNK = 1 << 13  # edge lines formatted per write by write_edge_list
 
 
 class EdgeListError(ValueError):
@@ -254,12 +259,17 @@ def write_rows(stream: IO[str], header: str, fmt: str, *columns: Iterable) -> No
 
 
 def write_edge_list(graph: Graph, table: NodeTable, stream: IO[str]) -> None:
-    """Write each edge once as a sorted ``lo hi`` line, reloadable by ``load_edge_list``."""
+    """Write each edge once as a sorted ``lo hi`` line, reloadable by
+    ``load_edge_list``, formatting ``_WRITE_CHUNK`` lines at a time."""
     ids = table.ids
     rows = np.repeat(np.arange(graph.node_count), graph.degrees)
     upper = rows < graph.indices
-    lo, hi = rows[upper].tolist(), graph.indices[upper].tolist()
-    write_rows(stream, "", "%s %s\n", [ids[u] for u in lo], [ids[v] for v in hi])
+    lo, hi = rows[upper], graph.indices[upper]
+    del rows, upper
+    for start in range(0, len(lo), _WRITE_CHUNK):
+        end = start + _WRITE_CHUNK
+        write_rows(stream, "", "%s %s\n", [ids[u] for u in lo[start:end].tolist()],
+                   [ids[v] for v in hi[start:end].tolist()])
 
 
 def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partition:

@@ -24,16 +24,19 @@ to be sure of it is answered by numpy's own computation instead. Phase 1
 places nodes with the same sampler, over the free places of the
 communities that are large enough for the node's degree.
 
-Wiring holds one set of neighbours per node, whose entries are the one int
-object of each node, and only the index the selection rule samples: sorted
-intra-community neighbour lists for ``"node"``, the intra-link list and its
-position dict for ``"link"``. The index is freed after the rewiring; then
-each node's set, sorted, becomes its row of the CSR, so set iteration
-order never reaches the output. The ``tracemalloc`` peak of
-:func:`generate` falls in the rewiring, where the sets and the index are
-alive: about ``215 m`` bytes for ``"node"`` and ``300 m`` for ``"link"``
-at mean degree 15 (n from 3000 to 20000; at n=10000, seed 3, 15.4 and
-21.4 MiB). The sets hold about three quarters of it.
+Each node's neighbours are a set only while its own community is wired,
+since that wiring reads and writes only its members' rows; then the set
+becomes a sorted list. Rewiring keeps those same-label rows, a short list
+per node of the other-label neighbours it gained, every entry the one int
+object of its node, and only the index the selection rule samples beside
+them: none for ``"node"``, which draws from the rows, and the intra-link
+list and its position dict for ``"link"``. The index is freed after the
+rewiring; then the two rows of each node, merged and sorted, become its
+row of the CSR, so set iteration order never reaches the output. The
+``tracemalloc`` peak of :func:`generate` at mean degree 15 (n from 3000
+to 40000) is about ``70 m`` bytes for ``"node"``, in the CSR build, and
+``180 m`` to ``220 m`` for ``"link"``, where its position dict is built
+(at n=10000, seed 3, 4.9 and 12.7 MiB).
 """
 from __future__ import annotations
 
@@ -89,6 +92,8 @@ class LfrConfig:
             raise ValueError("need n >= communities >= 1")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError("mu must be in [0, 1)")
+        if self.mu > 0.0 and self.communities < 2:
+            raise ValueError("mu > 0 needs at least 2 communities")
         if not 1 <= self.min_degree <= self.max_degree:
             raise ValueError("need 1 <= min_degree <= max_degree")
         if not self.exponent > 1.0:
@@ -347,37 +352,33 @@ def _pair_stubs_assortative(
 class _WiringState:
     """Mutable edge structures shared by the rewiring phase.
 
-    ``intra[v]`` (``"node"``: the sorted intra-community neighbours of
-    ``v``) or ``intra_edges`` and ``intra_pos`` (``"link"``) are kept by
-    ``drop_intra``; every set holds ``nodes[v]`` for node ``v``.
+    ``intra[v]`` holds the sorted same-label neighbours of ``v`` and
+    ``inter[v]`` the other-label ones, in the order rewiring added them;
+    every entry is ``nodes[w]`` for node ``w``. ``drop_intra`` keeps
+    ``intra`` and, for ``"link"``, ``intra_edges`` and ``intra_pos``.
     """
 
     labels: np.ndarray
-    adjacency: list[set[int]]
+    intra: list[list[int]]
+    inter: list[list[int]]
     nodes: list[int]
     selection: str
     intra_edges: list[tuple[int, int]] = field(default_factory=list)
     intra_pos: dict[tuple[int, int], int] = field(init=False, repr=False)
-    intra: list[list[int]] = field(init=False, repr=False)
-    inter_count: int = 0
+    inter_count: int = field(init=False)
     edge_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.edge_count = sum(map(len, self.adjacency)) // 2
+        self.inter_count = sum(map(len, self.inter)) // 2
+        self.edge_count = sum(map(len, self.intra)) // 2 + self.inter_count
         if self.selection == "link":
             self.intra_pos = {e: i for i, e in enumerate(self.intra_edges)}
-            return
-        labels = self.labels.tolist()
-        self.intra = [sorted([w for w in nbrs if labels[w] == label])
-                      for nbrs, label in zip(self.adjacency, labels)]
 
     def drop_intra(self, u: int, v: int) -> None:
-        self.adjacency[u].discard(v)
-        self.adjacency[v].discard(u)
+        for a, b in ((u, v), (v, u)):
+            row = self.intra[a]
+            del row[bisect_left(row, b)]
         if self.selection == "node":
-            for a, b in ((u, v), (v, u)):
-                row = self.intra[a]
-                del row[bisect_left(row, b)]
             return
         key = (u, v) if u < v else (v, u)
         pos = self.intra_pos.pop(key)
@@ -388,8 +389,8 @@ class _WiringState:
             self.intra_pos[last] = pos
 
     def add_inter(self, u: int, v: int) -> None:
-        self.adjacency[u].add(self.nodes[v])
-        self.adjacency[v].add(self.nodes[u])
+        self.inter[u].append(self.nodes[v])
+        self.inter[v].append(self.nodes[u])
         self.inter_count += 1
 
     def mu(self) -> float:
@@ -412,9 +413,9 @@ def _rewire_to_mu(
     ``_MAX_REWIRE_ATTEMPTS`` attempts it raises GenerationError. Returns the
     set of kept endpoints, the attempts and the refused stub draws.
     """
-    n = len(state.adjacency)
+    n = len(state.intra)
     labels = state.labels.tolist()
-    stubs = _FenwickSampler([len(a) for a in state.adjacency])
+    stubs = _FenwickSampler([len(a) + len(b) for a, b in zip(state.intra, state.inter)])
     rewired: set[int] = set()
     attempts = rejections = 0
     while state.mu() < target_mu:
@@ -437,10 +438,11 @@ def _rewire_to_mu(
             a, b = state.intra_edges[int(rng.integers(len(state.intra_edges)))]
             v, u = (a, b) if rng.random() < 0.5 else (b, a)
 
-        # a kept node saturated toward the outside is resampled next attempt
+        # a kept node saturated toward the outside is resampled next attempt;
+        # intra[v] holds only v's label, so inter[v] settles adjacency
         for _ in range(_MAX_TARGET_RETRIES):
             w = stubs.draw(rng)
-            if labels[w] != labels[v] and w not in state.adjacency[v]:
+            if labels[w] != labels[v] and w not in state.inter[v]:
                 state.drop_intra(v, u)
                 state.add_inter(v, w)
                 stubs.move(u, w)
@@ -457,7 +459,9 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
     degrees = _sample_degrees(config, rng)
     labels = _assign_communities(degrees, sizes, rng)
 
-    adjacency: list[set[int]] = [set() for _ in range(config.n)]
+    # a community's wiring reads and writes only its members' rows, so each
+    # row is a set while its community is wired and a sorted list after
+    intra: list = [None] * config.n
     nodes = list(range(config.n))
     intra_edges: list[tuple[int, int]] = []  # only the link rule samples it
     dropped_stubs = 0
@@ -470,25 +474,30 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
                 degrees[bump] += 1
             else:
                 degrees[members[np.argmax(degrees[members])]] -= 1
-        wired, dropped = _pair_stubs_assortative(members, degrees, adjacency, nodes, rng)
+        rows = members.tolist()
+        for v in rows:
+            intra[v] = set()
+        wired, dropped = _pair_stubs_assortative(members, degrees, intra, nodes, rng)
+        for v in rows:
+            intra[v] = sorted(intra[v])
         if config.selection == "link":
             intra_edges += [(u, v) if u < v else (v, u) for u, v in wired]
         dropped_stubs += dropped
 
-    state = _WiringState(labels=labels, adjacency=adjacency, nodes=nodes,
+    inter: list[list[int]] = [[] for _ in range(config.n)]
+    state = _WiringState(labels=labels, intra=intra, inter=inter, nodes=nodes,
                          selection=config.selection, intra_edges=intra_edges)
-    del adjacency, nodes, intra_edges
+    del nodes, intra_edges
     rewired, attempts, rejections = frozenset(), 0, 0
     if config.mu > 0.0:
         rewired, attempts, rejections = _rewire_to_mu(state, config.mu, rng)
 
     achieved = state.mu()
-    adjacency = state.adjacency
     del state  # the rewiring index goes before the CSR build
     indptr = np.zeros(config.n + 1, dtype=np.int64)
-    np.cumsum([len(nbrs) for nbrs in adjacency], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(map(sorted, adjacency)), dtype=np.int64,
-                          count=indptr[-1])
+    np.cumsum([len(a) + len(b) for a, b in zip(intra, inter)], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(sorted(a + b) for a, b in zip(intra, inter)),
+                          dtype=np.int64, count=indptr[-1])
     graph = Graph(config.n, indptr, indices)
     partition = Partition(labels=labels, community_count=config.communities)
     return GeneratedNetwork(

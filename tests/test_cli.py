@@ -326,6 +326,19 @@ def test_generate_degenerate_config_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_one_community_with_mixing_exits_1(tmp_path, capsys):
+    # rejected up front: every rewiring target would share the kept node's
+    # community, so the rewiring ran its full attempt budget (minutes) first
+    args = ["generate", "--n", "2000", "--communities", "1", "--seed", "1"]
+    code = main([*args, "--mu", "0.5", "--output-prefix", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: generation failed: mu > 0 needs at least 2 communities"]
+    assert not (tmp_path / "x.edges").exists()
+    assert main([*args, "--mu", "0", "--output-prefix", str(tmp_path / "y")]) == 0
+    assert (tmp_path / "y.edges").exists()
+
+
 @pytest.mark.parametrize("value", ["-3", "0", "nan"])
 def test_generate_bad_mean_degree_exits_1(tmp_path, capsys, value):
     code = main(["generate", *LFR_ARGS, "--mean-degree", value,

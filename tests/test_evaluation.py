@@ -16,7 +16,6 @@ from bridgeness import (
     curve_advantage,
     global_indicator,
     locterm_correlation,
-    node_report,
     smooth,
 )
 from bridgeness.evaluation import (
@@ -215,49 +214,34 @@ def _report_fixture():
     return graph, partition, result, indicator
 
 
-def test_node_report_columns_and_rows():
+def test_report_columns_values_and_types():
     graph, partition, result, indicator = _report_fixture()
-    rows = node_report(graph, partition, result, indicator)
-    assert len(rows) == 5
-    assert all(set(row) == set(REPORT_COLUMNS) for row in rows)
+    columns = report_columns(graph, partition, result, indicator)
+    assert list(columns) == list(REPORT_COLUMNS)
+    assert columns == {
+        "node_id": [str(v) for v in range(5)], "G": indicator.g.tolist(),
+        "community": partition.labels.tolist(), "bc": result.bc.tolist(),
+        "bridgeness": result.bridgeness.tolist(), "degree": graph.degrees.tolist()}
+    assert [type(columns[name][0]) for name in REPORT_COLUMNS] == [
+        str, float, int, float, float, int]
 
 
-def test_node_report_single_node_zero_row():
+def test_report_columns_single_node_zero_row():
     graph = Graph.from_edges(1, [])
     partition = Partition.from_labels([0])
     result = bridgeness_exact(graph)
     indicator = global_indicator(graph, partition)
-    row = node_report(graph, partition, result, indicator)[0]
-    assert row == {"node_id": "0", "G": 0.0, "community": 0, "bc": 0.0,
-                   "bridgeness": 0.0, "degree": 0}
+    columns = report_columns(graph, partition, result, indicator)
+    assert columns == {"node_id": ["0"], "G": [0.0], "community": [0], "bc": [0.0],
+                       "bridgeness": [0.0], "degree": [0]}
 
 
-def test_node_report_sorted_by_bc():
+def test_report_columns_sorted_by_bc():
     graph, partition, result, indicator = _report_fixture()
-    rows = node_report(graph, partition, result, indicator, sort_by="bc")
-    values = [row["bc"] for row in rows]
+    values = report_columns(graph, partition, result, indicator, sort_by="bc")["bc"]
     assert values == sorted(values, reverse=True)
     with pytest.raises(ValueError):
-        node_report(graph, partition, result, indicator, sort_by="nope")
-
-
-def test_node_report_rows_are_the_report_columns():
-    graph, partition, result, indicator = _report_fixture()
-    rows = node_report(graph, partition, result, indicator)
-    assert rows == [
-        {"node_id": str(v), "G": float(indicator.g[v]), "community": int(partition.labels[v]),
-         "bc": float(result.bc[v]), "bridgeness": float(result.bridgeness[v]),
-         "degree": int(graph.degrees[v])}
-        for v in range(5)
-    ]
-    assert [type(rows[0][name]) for name in REPORT_COLUMNS] == [str, float, int, float, float, int]
-    for sort_by in REPORT_COLUMNS:
-        for descending in (True, False):
-            rows = node_report(graph, partition, result, indicator,
-                               sort_by=sort_by, descending=descending)
-            columns = report_columns(graph, partition, result, indicator,
-                                     sort_by=sort_by, descending=descending)
-            assert {name: [row[name] for row in rows] for name in REPORT_COLUMNS} == columns
+        report_columns(graph, partition, result, indicator, sort_by="nope")
 
 
 def test_write_node_report_header():

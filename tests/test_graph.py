@@ -1,3 +1,4 @@
+import hashlib
 import io
 import logging
 import tracemalloc
@@ -20,6 +21,7 @@ from bridgeness import (
     write_edge_list,
     write_partition,
 )
+from bridgeness import graph as graph_module
 
 from util import edge_array, er_graph, reference_edge_list, star_graph
 
@@ -162,6 +164,57 @@ def test_load_edge_list_memory_at_n_10000():
     assert len(lines) == graph.edge_count == 75080
     assert len(table) == n
     assert peak - kept <= 24 * len(lines)
+
+
+class _DigestSink:
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest, self.writes = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.writes += 1
+
+
+def edge_lines(graph, ids):
+    return "".join(f"{ids[u]} {ids[v]}\n" for u, v in edge_array(graph).tolist())
+
+
+def test_write_edge_list_memory_at_n_10000():
+    # the documented bound: 34 m + 8 (n + 1) while the endpoints are picked
+    # (measured 35.1 bytes per edge), then 16 m plus about 100 bytes per
+    # line of one chunk; 191 per edge when every line was formatted before
+    # one write
+    n = 10000
+    graph = generate(LfrConfig(n=n, communities=300, mu=0.2, seed=3)).graph
+    table = NodeTable.identity(n)
+    expected = hashlib.sha256(edge_lines(graph, table.ids).encode()).hexdigest()
+    m = graph.edge_count
+    sink = _DigestSink()
+    tracemalloc.start()
+    try:
+        write_edge_list(graph, table, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == expected
+    assert sink.writes == -(-m // graph_module._WRITE_CHUNK)
+    chunk = 100 * graph_module._WRITE_CHUNK
+    assert peak <= max(34 * m, 16 * m + chunk) + 8 * (n + 1) + 2**14
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 2**13])
+def test_write_edge_list_chunks_keep_the_bytes(monkeypatch, chunk):
+    monkeypatch.setattr(graph_module, "_WRITE_CHUNK", chunk)
+    g = er_graph(30, 0.2, np.random.default_rng(5))
+    table = NodeTable(ids=tuple(f"n{i}" for i in range(30)))
+    buf = io.StringIO()
+    write_edge_list(g, table, buf)
+    assert buf.getvalue() == edge_lines(g, table.ids)
+    empty = io.StringIO()
+    write_edge_list(Graph.from_edges(3, []), NodeTable.identity(3), empty)
+    assert empty.getvalue() == ""
 
 
 def test_graph_arrays_are_read_only():

@@ -96,16 +96,22 @@ def test_infeasible_configs_raise():
     for bad in (-3.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="mean_degree"):
             LfrConfig(seed=1, **{**SMALL, "mean_degree": bad})
+    # with one community every stub draw has the kept node's label
+    with pytest.raises(ValueError, match="at least 2 communities"):
+        LfrConfig(seed=1, **{**SMALL, "communities": 1, "mu": 0.5})
+    unmixed = generate(LfrConfig(seed=1, **{**SMALL, "communities": 1, "mu": 0.0}))
+    assert unmixed.achieved_mu == 0.0
+    assert unmixed.ground_truth.community_count == 1
 
 
 def test_rewire_unreachable_target_errors(monkeypatch):
     # both intra edges are saturated toward the outside: every rewire target
     # is already adjacent, so the mu target cannot be met
     labels = np.array([0, 0, 1, 1])
-    adjacency = [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
-    state = _WiringState(labels=labels, adjacency=adjacency, nodes=list(range(4)),
-                         selection="node", inter_count=4)
-    assert state.edge_count == 6
+    state = _WiringState(labels=labels, intra=[[1], [0], [3], [2]],
+                         inter=[[2, 3], [2, 3], [0, 1], [0, 1]], nodes=list(range(4)),
+                         selection="node")
+    assert (state.edge_count, state.inter_count) == (6, 4)
     monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
     monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 200)
     with pytest.raises(GenerationError, match="after 200 attempts"):
@@ -115,9 +121,8 @@ def test_rewire_unreachable_target_errors(monkeypatch):
 def test_rewiring_exhaustion_errors(monkeypatch):
     # drain all intra links with an unreachable target
     labels = np.array([0, 0, 1, 1])
-    adjacency = [{1}, {0}, {3}, {2}]
-    state = _WiringState(labels=labels, adjacency=adjacency, nodes=list(range(4)),
-                         selection="node")
+    state = _WiringState(labels=labels, intra=[[1], [0], [3], [2]], inter=[[], [], [], []],
+                         nodes=list(range(4)), selection="node")
     monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
     monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 500)
     rewired, attempts, _ = _rewire_to_mu(state, 0.99, np.random.default_rng(1))
@@ -127,8 +132,8 @@ def test_rewiring_exhaustion_errors(monkeypatch):
 
 
 def test_rewiring_an_empty_graph_errors():
-    state = _WiringState(labels=np.array([0, 1]), adjacency=[set(), set()], nodes=[0, 1],
-                         selection="node")
+    state = _WiringState(labels=np.array([0, 1]), intra=[[], []], inter=[[], []],
+                         nodes=[0, 1], selection="node")
     with pytest.raises(GenerationError, match="no intra-community links left"):
         _rewire_to_mu(state, 0.5, np.random.default_rng(0))
 
@@ -144,7 +149,7 @@ def test_wiring_state_intra_lists_follow_drops_and_adds(n, communities, p, steps
 def check_wiring_state(selection, n, communities, p, steps, seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(communities, size=n)
-    adjacency = [set() for _ in range(n)]
+    adjacency = [set() for _ in range(n)]  # the reference, kept beside the state
     intra_edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -154,18 +159,21 @@ def check_wiring_state(selection, n, communities, p, steps, seed):
                 if labels[u] == labels[v]:
                     intra_edges.append((u, v))
     edge_count = sum(map(len, adjacency)) // 2
-    state = _WiringState(labels=labels, adjacency=adjacency, nodes=list(range(n)),
-                         selection=selection, intra_edges=list(intra_edges),
-                         inter_count=edge_count - len(intra_edges))
-    assert state.edge_count == edge_count
 
-    def expected(v):
-        return sorted(w for w in adjacency[v] if labels[w] == labels[v])
+    def expected(v, same=True):
+        return sorted(w for w in adjacency[v] if (labels[w] == labels[v]) == same)
+
+    state = _WiringState(labels=labels, intra=[expected(v) for v in range(n)],
+                         inter=[expected(v, same=False) for v in range(n)],
+                         nodes=list(range(n)), selection=selection,
+                         intra_edges=list(intra_edges))
+    assert state.edge_count == edge_count
+    assert state.inter_count == edge_count - len(intra_edges)
 
     def check():
-        if selection == "node":
-            assert all(state.intra[v] == expected(v) for v in range(n))
-        else:
+        assert all(state.intra[v] == expected(v) for v in range(n))
+        assert all(sorted(state.inter[v]) == expected(v, same=False) for v in range(n))
+        if selection == "link":
             assert sorted(state.intra_edges) == [
                 (u, v) for u in range(n) for v in expected(u) if u < v]
             assert state.intra_pos == {e: i for i, e in enumerate(state.intra_edges)}
@@ -177,10 +185,14 @@ def check_wiring_state(selection, n, communities, p, steps, seed):
         if intra and rng.random() < 0.6:
             u, v = intra[int(rng.integers(len(intra)))]
             state.drop_intra(*((u, v) if rng.random() < 0.5 else (v, u)))
+            adjacency[u].discard(v)
+            adjacency[v].discard(u)
         else:
             u, v = (int(x) for x in rng.integers(n, size=2))
             if labels[u] != labels[v] and v not in adjacency[u]:
                 state.add_inter(u, v)
+                adjacency[u].add(v)
+                adjacency[v].add(u)
                 added += 1
         check()
     assert state.inter_count == edge_count - len(intra_edges) + added
@@ -222,19 +234,22 @@ def test_dropped_stubs_returned_and_logged(caplog):
 
 
 def test_generate_peak_memory_at_n_10000():
-    # the documented bound, about 215 m bytes: wiring keeps only the index
-    # the node rule samples, every set shares one int per node, and the CSR
-    # is read from the sorted sets; the peak was 36 MiB when both
-    # rules' indexes and a fresh int per stub were kept up to the CSR build,
-    # and 17.0 MiB while the CSR was built from an (m, 2) edge array
-    tracemalloc.start()
-    try:
-        net = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert net.graph.edge_count == 75080
-    assert peak <= 220 * net.graph.edge_count
+    # the documented bounds in bytes per edge, about 10% above the measured
+    # 68.8 (node) and 177.3 (link): each node's neighbours are a set only
+    # while its community is wired, then a sorted row, and the CSR is read
+    # from the rows; the node rule peaked at 215 while every node kept a
+    # set up to the CSR build, and at 36 MiB when both rules' indexes and
+    # a fresh int per stub were kept as well
+    for selection, bound in (("node", 76), ("link", 196)):
+        tracemalloc.start()
+        try:
+            net = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=3,
+                                     selection=selection))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.graph.edge_count == 75080
+        assert peak <= bound * net.graph.edge_count, selection
 
 
 def test_rewire_counters_count_attempts_and_refused_draws(monkeypatch):
@@ -266,10 +281,12 @@ def test_adjacency_sets_share_one_int_per_node(monkeypatch, selection):
     def check_state(state, *args, **kwargs):
         result = _rewire_to_mu(state, *args, **kwargs)
         # checked while the wiring state is live, before the CSR build
+        rows = [*state.intra, *state.inter]
         assert state.nodes == list(range(1000))
-        assert all(w is state.nodes[w] for nbrs in state.adjacency for w in nbrs)
-        assert sum(map(len, state.adjacency)) == 2 * state.edge_count
-        assert not hasattr(state, "intra_pos" if selection == "node" else "intra")
+        assert all(w is state.nodes[w] for row in rows for w in row)
+        assert sum(map(len, rows)) == 2 * state.edge_count
+        assert all(row == sorted(row) for row in state.intra)
+        assert hasattr(state, "intra_pos") == (selection == "link")
         states.append(state)
         return result
 
