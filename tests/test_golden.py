@@ -41,9 +41,14 @@ The ``evaluate`` digests were recorded from ``evaluate --detect louvain
 --seed 3``, which detected the partition itself; ``communities --seed 3``
 followed by ``evaluate --partition`` replaced it and must write the same
 bytes in every file but the provenance.
+
+The provenance digests and error texts were recorded from the frontend
+whose every command passed its own name and input list to the provenance
+writer and read each input file through its own handler.
 """
 import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +225,40 @@ REPORT = {  # by --sort-by column and direction; every column has ties but node_
     "degree-descending": "e8b988a6eada3489fa631d8b0934845d37267635092970dc8b401e85aa97f1aa",
     "degree-ascending": "c49728a666321b7d943d47321f53518f3e9b47ed9149cc4d14bd8159f2cf41bf",
 }
+
+# every subcommand once, with relative paths, in the order the runs feed each other
+PROVENANCE_RUNS = [
+    ["generate", "--n", "300", "--communities", "10", "--mu", "0.2", "--seed", "3",
+     "--min-degree", "6", "--max-degree", "20", "--mean-degree", "10", "--output-prefix", "net"],
+    ["communities", "--input", "net.edges", "--seed", "3", "--output", "louvain.csv"],
+    ["indicator", "--input", "net.edges", "--partition", "net.communities.csv", "--output", "g.csv"],
+    ["centrality", "--input", "net.edges", "--output", "scores.csv", "--json", "scores.json",
+     "--variant", "si-compat", "--workers", "1"],
+    ["evaluate", "--input", "net.edges", "--partition", "louvain.csv", "--window", "20",
+     "--workers", "1", "--output-dir", "eval"],
+    ["report", "--input", "net.edges", "--partition", "net.communities.csv", "--sort-by", "G",
+     "--workers", "1", "--output", "report.csv"],
+]
+PROVENANCE = {
+    "eval/provenance.json": "c4948b45b901473f2437a0432679aac7563b1e87a6be6b06b4c861d9c8208fba",
+    "g.csv.provenance.json": "0ed8744322fbe50bfeee9bfc328806ada11fa99a52bea8d0fe1300bc078bbd65",
+    "louvain.csv.provenance.json":
+        "d02cbf27237549086b25ac9ec6e4b5e214902f28ab9decf0240bcc51307fbccf",
+    "net.provenance.json": "7555802d5f9cf2623de3c537c2a1f752ad41ba09f3f39ce379a598f81a6d23d9",
+    "report.csv.provenance.json": "e592978fd8910a3db6eae78abbbdbef5e660ef4c6c277747f5b057ec87a41618",
+    "scores.csv.provenance.json": "a294951d17d10bf61d04c30d546972f2951e06c9a29a8d2b46afdca9fe47a473",
+}
+READ_ERRORS = [  # argv after the PROVENANCE_RUNS, and its whole stderr
+    (["centrality", "--input", "missing.edges", "--output", "s.csv"],
+     "error: cannot read edge list: [Errno 2] No such file or directory: 'missing.edges'\n"),
+    (["centrality", "--input", "bad.edges", "--output", "s.csv"],
+     "error: bad.edges: line 2: expected 2 fields, got 3: 'b c d'\n"),
+    (["indicator", "--input", "net.edges", "--partition", "missing.csv", "--output", "g.csv"],
+     "error: cannot read partition: [Errno 2] No such file or directory: 'missing.csv'\n"),
+    (["report", "--input", "net.edges", "--partition", "short.csv", "--output", "r.csv"],
+     "error: short.csv: partition is missing 299 node(s): '52', '70', '80', '95', '238', '240', "
+     "'279', '1', '21', '122' (+289 more)\n"),
+]
 
 # ``centrality --variant si-compat`` on the grid30 golden graph
 GRID_SI_COMPAT_CSV = "258d021f3c3ea3560bfe293916390b548100eae3d1811c59af8bc9af58d8dc97"
@@ -455,3 +494,18 @@ def test_evaluate_on_louvain_partition_bytes(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (tmp_path / "eval").iterdir() if path.name != "provenance.json"}
     assert digests == EVALUATE_1000
+
+
+def test_provenance_bytes_and_read_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in PROVENANCE_RUNS:
+        assert main(argv) == 0
+    digests = {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in Path().rglob("*provenance.json")}
+    assert digests == PROVENANCE
+    Path("bad.edges").write_text("a b\nb c d\n")
+    Path("short.csv").write_text("0,0\n")
+    capsys.readouterr()
+    for argv, stderr in READ_ERRORS:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == stderr
