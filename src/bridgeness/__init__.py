@@ -34,7 +34,7 @@ from .graph import (
     write_edge_list,
     write_partition,
 )
-from .indicator import GlobalIndicatorResult, global_indicator
+from .indicator import global_indicator
 from .netgen import (
     GeneratedNetwork,
     GenerationError,
@@ -57,7 +57,6 @@ __all__ = [
     "bridgeness_exact",
     "bridgeness_si_compat",
     "locterm_by_degree",
-    "GlobalIndicatorResult",
     "global_indicator",
     "LouvainConfig",
     "LouvainRun",

@@ -12,11 +12,11 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .centrality import (
-    CentralityResult,
     bridgeness_exact,
     bridgeness_si_compat,
     default_workers,
@@ -62,12 +62,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_provenance(path: Path, command: str, args: argparse.Namespace,
-                      inputs: list[Path], extra: dict | None = None) -> None:
+def _write_provenance(path: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
+    inputs = [Path(p) for p in (getattr(args, "input", None), getattr(args, "partition", None))
+              if p is not None]
     record = {
         "tool": "bridgeness",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": {
             k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
         },
@@ -80,44 +81,41 @@ def _write_provenance(path: Path, command: str, args: argparse.Namespace,
         fh.write("\n")
 
 
+def _read(path: str, what: str, parse):
+    """``parse`` of the open file at ``path``; read and parse errors become CliError."""
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {what}: {exc}") from exc
+    except (EdgeListError, PartitionError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def _load_graph(args: argparse.Namespace):
-    path = Path(args.input)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh, delimiter=_DELIMITERS[args.delimiter])
-    except OSError as exc:
-        raise CliError(f"cannot read edge list: {exc}") from exc
-    except EdgeListError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    return _read(args.input, "edge list",
+                 lambda fh: load_edge_list(fh, delimiter=_DELIMITERS[args.delimiter]))
 
 
-def _load_partition_file(path_str: str, table: NodeTable):
-    path = Path(path_str)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_partition(fh, table)
-    except OSError as exc:
-        raise CliError(f"cannot read partition: {exc}") from exc
-    except PartitionError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _compute_variant(graph, variant: str, workers: int) -> CentralityResult:
-    compute = bridgeness_si_compat if variant == "si-compat" else bridgeness_exact
-    return compute(graph, workers=workers)
+def _load_indicator(args: argparse.Namespace):
+    """The graph, its node table, the partition and the partition's G scores."""
+    graph, table = _load_graph(args)
+    partition = _read(args.partition, "partition", lambda fh: load_partition(fh, table))
+    return graph, table, partition, global_indicator(graph, partition)
 
 
 def cmd_centrality(args: argparse.Namespace) -> int:
     graph, table = _load_graph(args)
-    result = _compute_variant(graph, args.variant, args.workers)
+    compute = bridgeness_si_compat if args.variant == "si-compat" else bridgeness_exact
+    result = compute(graph, workers=args.workers)
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         write_centrality_csv(result, graph, fh, table)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             write_centrality_json(result, graph, fh, table)
-    _write_provenance(out.with_suffix(out.suffix + ".provenance.json"),
-                      "centrality", args, [Path(args.input)])
+    _write_provenance(out.with_suffix(out.suffix + ".provenance.json"), args)
     top_bc = int(result.bc.argmax()) if graph.node_count else -1
     top_bri = int(result.bridgeness.argmax()) if graph.node_count else -1
     print(f"nodes: {graph.node_count}")
@@ -129,14 +127,11 @@ def cmd_centrality(args: argparse.Namespace) -> int:
 
 
 def cmd_indicator(args: argparse.Namespace) -> int:
-    graph, table = _load_graph(args)
-    partition = _load_partition_file(args.partition, table)
-    result = global_indicator(graph, partition)
+    graph, table, partition, g = _load_indicator(args)
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
-        write_indicator_csv(result, partition, fh, table)
-    _write_provenance(out.with_suffix(out.suffix + ".provenance.json"),
-                      "indicator", args, [Path(args.input), Path(args.partition)])
+        write_indicator_csv(g, partition, fh, table)
+    _write_provenance(out.with_suffix(out.suffix + ".provenance.json"), args)
     return 0
 
 
@@ -151,8 +146,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         write_partition(partition, table, fh)
-    _write_provenance(out.with_suffix(out.suffix + ".provenance.json"),
-                      "communities", args, [Path(args.input)],
+    _write_provenance(out.with_suffix(out.suffix + ".provenance.json"), args,
                       extra={"louvain_moves": run.moves, "louvain_evaluations": run.evaluations})
     print(f"communities: {partition.community_count}")
     return 0
@@ -160,44 +154,29 @@ def cmd_communities(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        config = LfrConfig(
-            n=args.n,
-            communities=args.communities,
-            mu=args.mu,
-            seed=args.seed,
-            exponent=args.exponent,
-            min_degree=args.min_degree,
-            max_degree=args.max_degree,
-            mean_degree=args.mean_degree,
-            selection=args.selection,
-        )
-        net = generate(config)
+        net = generate(LfrConfig(**{f.name: getattr(args, f.name) for f in fields(LfrConfig)}))
     except (ValueError, GenerationError) as exc:
         raise CliError(f"generation failed: {exc}") from exc
 
     prefix = Path(args.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     table = NodeTable.identity(net.graph.node_count)
-    edges_path = prefix.with_suffix(".edges")
-    partition_path = prefix.with_suffix(".communities.csv")
+    # appended to the prefix's name, so a dotted prefix keeps its every part
+    edges_path, partition_path, provenance_path = (
+        prefix.with_name(prefix.name + suffix)
+        for suffix in (".edges", ".communities.csv", ".provenance.json"))
     with open(edges_path, "w", encoding="utf-8") as fh:
         write_edge_list(net.graph, table, fh)
     with open(partition_path, "w", encoding="utf-8") as fh:
         write_partition(net.ground_truth, table, fh)
-    _write_provenance(
-        prefix.with_suffix(".provenance.json"),
-        "generate",
-        args,
-        [],
-        extra={
-            "achieved_mu": net.achieved_mu,
-            "dropped_stubs": net.dropped_stubs,
-            "edge_count": net.graph.edge_count,
-            "rewire_attempts": net.rewire_attempts,
-            "rewired_node_count": len(net.rewired_nodes),
-            "target_rejections": net.target_rejections,
-        },
-    )
+    _write_provenance(provenance_path, args, extra={
+        "achieved_mu": net.achieved_mu,
+        "dropped_stubs": net.dropped_stubs,
+        "edge_count": net.graph.edge_count,
+        "rewire_attempts": net.rewire_attempts,
+        "rewired_node_count": len(net.rewired_nodes),
+        "target_rejections": net.target_rejections,
+    })
     print(f"wrote {edges_path} ({net.graph.edge_count} edges)")
     print(f"wrote {partition_path} ({net.ground_truth.community_count} communities)")
     print(f"achieved_mu: {net.achieved_mu:.4f}")
@@ -205,11 +184,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    graph, table = _load_graph(args)
-    partition = _load_partition_file(args.partition, table)
+    graph, table, partition, g = _load_indicator(args)
     result = bridgeness_exact(graph, workers=args.workers)
-    indicator_result = global_indicator(graph, partition)
-    g = indicator_result.g
     try:
         curves = {
             "g": cumulative_ratio_curve(g, g, name="g"),
@@ -222,7 +198,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "g_scores.csv", "w", encoding="utf-8") as fh:
-        write_indicator_csv(indicator_result, partition, fh, table)
+        write_indicator_csv(g, partition, fh, table)
     for name, curve in curves.items():
         write_curve_csv(curve, str(out_dir / f"curve_{name}.csv"))
         write_curve_csv(smooth(curve, args.window), str(out_dir / f"curve_{name}_smoothed.csv"))
@@ -247,26 +223,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    _write_provenance(out_dir / "provenance.json", "evaluate", args,
-                      [Path(args.input), Path(args.partition)])
+    _write_provenance(out_dir / "provenance.json", args)
     print(f"curve_advantage(bridgeness, bc): {advantage:.6g}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    graph, table = _load_graph(args)
-    partition = _load_partition_file(args.partition, table)
+    graph, table, partition, g = _load_indicator(args)
     result = bridgeness_exact(graph, workers=args.workers)
-    indicator_result = global_indicator(graph, partition)
-    columns = report_columns(
-        graph, partition, result, indicator_result,
-        table=table, sort_by=args.sort_by, descending=not args.ascending,
-    )
+    columns = report_columns(graph, partition, result, g, table=table,
+                             sort_by=args.sort_by, descending=not args.ascending)
     out = Path(args.output)
     with open(out, "w", encoding="utf-8") as fh:
         write_node_report(columns, fh)
-    _write_provenance(out.with_suffix(out.suffix + ".provenance.json"),
-                      "report", args, [Path(args.input), Path(args.partition)])
+    _write_provenance(out.with_suffix(out.suffix + ".provenance.json"), args)
     return 0
 
 

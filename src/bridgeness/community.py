@@ -173,13 +173,8 @@ def _one_level(level: _LevelGraph, rng: random.Random) -> tuple[list[int], list[
 
 def _aggregate(level: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, list[int]]:
     """Collapse communities into nodes; returns the new level and dense labels."""
-    relabel: dict[int, int] = {}
-    dense = []
-    for c in comm:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        dense.append(relabel[c])
-    size = len(relabel)
+    partition = Partition.from_labels(comm)
+    dense, size = partition.labels.tolist(), partition.community_count
     adj: list[dict[int, float]] = [dict() for _ in range(size)]
     self_weight = [0.0] * size
     for v, nbrs in enumerate(level.adj):

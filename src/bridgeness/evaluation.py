@@ -16,7 +16,6 @@ import numpy as np
 
 from .centrality import CentralityResult
 from .graph import Graph, NodeTable, Partition, write_rows
-from .indicator import GlobalIndicatorResult
 
 REPORT_COLUMNS = ("node_id", "G", "community", "bc", "bridgeness", "degree")
 
@@ -144,7 +143,7 @@ def report_columns(
     graph: Graph,
     partition: Partition,
     centrality: CentralityResult,
-    indicator: GlobalIndicatorResult,
+    g: np.ndarray,
     *,
     table: NodeTable | None = None,
     sort_by: str | None = None,
@@ -153,11 +152,11 @@ def report_columns(
     """Per-node columns node_id, G, community, bc, bridgeness, degree, as
     lists in row order: by node index, or stably by ``sort_by``."""
     n = graph.node_count
-    if len(partition) != n or len(centrality.bc) != n or len(indicator.g) != n:
+    if len(partition) != n or len(centrality.bc) != n or len(g) != n:
         raise ValueError("inputs cover different node sets")
     table = table or NodeTable.identity(n)
     columns = dict(zip(REPORT_COLUMNS, (
-        list(table.ids), indicator.g.tolist(), partition.labels.tolist(), centrality.bc.tolist(),
+        list(table.ids), g.tolist(), partition.labels.tolist(), centrality.bc.tolist(),
         centrality.bridgeness.tolist(), graph.degrees.tolist())))
     if sort_by is not None:
         if sort_by not in REPORT_COLUMNS:

@@ -17,9 +17,9 @@ Memory, for m edges (or edge lines) and n nodes: the graph keeps
 two references per line while it parses, and at its peak under
 ``24 m`` bytes more than the graph and table it returns (13 bytes per
 line on the 75,080-line edge list of ``generate --n 10000 --seed 3``);
-:func:`write_edge_list` peaks at ``34 m + 8 (n + 1)`` bytes while it
-picks each edge's endpoints, then holds ``16 m`` plus about 100 bytes per
-line of one chunk of ``_WRITE_CHUNK`` lines.
+:func:`write_edge_list` picks the edges from one slice of the incidences
+at a time and holds about 130 bytes per line of one chunk of
+``_WRITE_CHUNK`` lines, whatever m is.
 """
 from __future__ import annotations
 
@@ -260,16 +260,21 @@ def write_rows(stream: IO[str], header: str, fmt: str, *columns: Iterable) -> No
 
 def write_edge_list(graph: Graph, table: NodeTable, stream: IO[str]) -> None:
     """Write each edge once as a sorted ``lo hi`` line, reloadable by
-    ``load_edge_list``, formatting ``_WRITE_CHUNK`` lines at a time."""
-    ids = table.ids
-    rows = np.repeat(np.arange(graph.node_count), graph.degrees)
-    upper = rows < graph.indices
-    lo, hi = rows[upper], graph.indices[upper]
-    del rows, upper
-    for start in range(0, len(lo), _WRITE_CHUNK):
-        end = start + _WRITE_CHUNK
-        write_rows(stream, "", "%s %s\n", [ids[u] for u in lo[start:end].tolist()],
-                   [ids[v] for v in hi[start:end].tolist()])
+    ``load_edge_list``, ``_WRITE_CHUNK`` lines per write. The edges are the
+    incidences above the diagonal, picked from ``_WRITE_CHUNK`` incidences
+    at a time."""
+    ids, indptr, indices = table.ids, graph.indptr, graph.indices
+    lo = hi = indices[:0]  # edges picked and not yet written
+    for start in range(0, len(indices), _WRITE_CHUNK):
+        cols = indices[start:start + _WRITE_CHUNK]
+        rows = indptr.searchsorted(np.arange(start, start + len(cols)), side="right") - 1
+        upper = rows < cols
+        lo, hi = np.concatenate((lo, rows[upper])), np.concatenate((hi, cols[upper]))
+        last = start + _WRITE_CHUNK >= len(indices)
+        while len(lo) >= _WRITE_CHUNK or (last and len(lo)):
+            write_rows(stream, "", "%s %s\n", [ids[u] for u in lo[:_WRITE_CHUNK].tolist()],
+                       [ids[v] for v in hi[:_WRITE_CHUNK].tolist()])
+            lo, hi = lo[_WRITE_CHUNK:], hi[_WRITE_CHUNK:]
 
 
 def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partition:

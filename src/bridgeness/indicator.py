@@ -16,7 +16,6 @@ to give the same bits as a sum over a dense n x C row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -24,21 +23,15 @@ import numpy as np
 from .graph import Graph, NodeTable, Partition, write_rows
 
 
-@dataclass(frozen=True)
-class GlobalIndicatorResult:
-    """Per-node G scores; zero exactly for nodes with no inter-community edge."""
-
-    g: np.ndarray
-
-
 _SCRATCH = 1 << 20  # bytes of the dense block G's rows are summed in
 
 
-def global_indicator(graph: Graph, partition: Partition) -> GlobalIndicatorResult:
+def global_indicator(graph: Graph, partition: Partition) -> np.ndarray:
     """G(i) = sum over foreign communities J touched by i of 1/links(I, J).
 
     Touching is binary: multiple links from i to the same community count
-    once. Link counts are unweighted edge counts.
+    once. Link counts are unweighted edge counts. G is exactly zero for a
+    node with no inter-community edge.
     """
     n = graph.node_count
     c = int(partition.community_count)
@@ -65,15 +58,11 @@ def global_indicator(graph: Graph, partition: Partition) -> GlobalIndicatorResul
         block[at] = values[a:b]
         g[lo:lo + step] = block[:min(step, n - lo)].sum(axis=1)
         block[at] = 0.0
-    return GlobalIndicatorResult(g=g)
+    return g
 
 
-def write_indicator_csv(
-    result: GlobalIndicatorResult,
-    partition: Partition,
-    stream: IO[str],
-    table: NodeTable | None = None,
-) -> None:
-    table = table or NodeTable.identity(len(result.g))
+def write_indicator_csv(g: np.ndarray, partition: Partition, stream: IO[str],
+                        table: NodeTable | None = None) -> None:
+    table = table or NodeTable.identity(len(g))
     write_rows(stream, "node_id,community,G\n", "%s,%d,%.12g\n",
-               table.ids, partition.labels.tolist(), result.g.tolist())
+               table.ids, partition.labels.tolist(), g.tolist())

@@ -114,10 +114,7 @@ class LfrConfig:
         floor = min(_MIN_COMMUNITY_SIZE, self.n // self.communities)
         # ceil must leave room to reach n even if every community maxes out
         ceil = max(_MAX_COMMUNITY_SIZE, floor + 1, -(-self.n // self.communities))
-        gamma = _SIZE_EXPONENT
-        a = floor ** (1.0 - gamma)
-        b = ceil ** (1.0 - gamma)
-        raw = (a + rng.random(self.communities) * (b - a)) ** (1.0 / (1.0 - gamma))
+        raw = _power_law(rng.random(self.communities), floor, ceil, _SIZE_EXPONENT)
         raw *= self.n / raw.sum()
         sizes = np.clip(np.rint(raw).astype(np.int64), floor, ceil)
         order = np.argsort(-sizes, kind="stable")
@@ -143,14 +140,16 @@ class GeneratedNetwork:
     target_rejections: int  # stub draws refused as a rewiring target
 
 
-def _sample_degrees(config: LfrConfig, rng: np.random.Generator) -> np.ndarray:
-    """Truncated power-law degrees, rescaled to the target mean."""
-    gamma = config.exponent
-    lo, hi = float(config.min_degree), float(config.max_degree)
-    u = rng.random(config.n)
+def _power_law(u: np.ndarray, lo: float, hi: float, gamma: float) -> np.ndarray:
+    """Inverse-CDF draws, one per uniform ``u``, from x^-gamma truncated to [lo, hi]."""
     a = lo ** (1.0 - gamma)
     b = hi ** (1.0 - gamma)
-    raw = (a + u * (b - a)) ** (1.0 / (1.0 - gamma))
+    return (a + u * (b - a)) ** (1.0 / (1.0 - gamma))
+
+
+def _sample_degrees(config: LfrConfig, rng: np.random.Generator) -> np.ndarray:
+    """Truncated power-law degrees, rescaled to the target mean."""
+    raw = _power_law(rng.random(config.n), config.min_degree, config.max_degree, config.exponent)
     raw *= config.mean_degree / raw.mean()
     return np.maximum(np.rint(raw).astype(np.int64), 1)
 
@@ -407,11 +406,13 @@ def _rewire_to_mu(
     ``selection="node"`` picks the kept endpoint uniformly over nodes that
     still own an intra link (degree-unbiased); ``"link"`` picks an intra
     link uniformly and keeps a random endpoint (degree-biased, the classic
-    construction). The freed far end reattaches to a random external stub
-    (degree-proportional, see ``_FenwickSampler``), with at most
-    ``_MAX_TARGET_RETRIES`` stub draws per attempt; past
-    ``_MAX_REWIRE_ATTEMPTS`` attempts it raises GenerationError. Returns the
-    set of kept endpoints, the attempts and the refused stub draws.
+    construction). An attempt whose far end has no other link is dropped,
+    since an isolated node cannot appear in the edge list. The freed far
+    end reattaches to a random external stub (degree-proportional, see
+    ``_FenwickSampler``), with at most ``_MAX_TARGET_RETRIES`` stub draws
+    per attempt; past ``_MAX_REWIRE_ATTEMPTS`` attempts it raises
+    GenerationError. Returns the set of kept endpoints, the attempts and the
+    refused stub draws.
     """
     n = len(state.intra)
     labels = state.labels.tolist()
@@ -437,6 +438,8 @@ def _rewire_to_mu(
         else:
             a, b = state.intra_edges[int(rng.integers(len(state.intra_edges)))]
             v, u = (a, b) if rng.random() < 0.5 else (b, a)
+        if stubs.weights[u] == 1:
+            continue
 
         # a kept node saturated toward the outside is resampled next attempt;
         # intra[v] holds only v's label, so inter[v] settles adjacency

@@ -54,7 +54,7 @@ def lfr_family():
     for seed in FAMILY_SEEDS:
         net = generate(LfrConfig(seed=seed, **BENCH_SCALE))
         result = bridgeness_exact(net.graph)
-        g_scores = global_indicator(net.graph, net.ground_truth).g
+        g_scores = global_indicator(net.graph, net.ground_truth)
         runs.append((net, result, g_scores))
     return runs
 

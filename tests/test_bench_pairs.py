@@ -62,6 +62,29 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     assert [r["cpu_per_wall"] for r in usage["runs"]] == [1.0, 1.0, 0.25, 1.0]
 
 
+def test_failed_checks_are_printed_and_exit_1(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower"}]}))
+
+    def fake_run(checkout, workload, seed, seconds):
+        failed = 2 if checkout == change and seed in (2, 4) else 0
+        return {"failed": failed, "environment": None, "metrics": {"pipeline_s": {"value": 1.0}},
+                "raw": {"wall_s": 1.0, "kernel_s": 0.05}, "passes": 3,
+                "usage": {"wall_s": 1.0, "cpu_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--seeds", "1-4", "--label", "t"]) == 1
+    err = capsys.readouterr().err
+    assert err == "change: failed checks on seeds [2, 4]\n"
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    assert record["failed"] == {"parent": [0, 0, 0, 0], "change": [0, 2, 0, 2]}
+
+
 STUB_RUN = """\
 import json, sys, time
 seed = int(sys.argv[sys.argv.index("--seed") + 1])

@@ -210,16 +210,16 @@ def _report_fixture():
     graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
     partition = Partition(labels=np.array([0, 0, 1, 1, 0]), community_count=2)
     result = bridgeness_exact(graph)
-    indicator = global_indicator(graph, partition)
-    return graph, partition, result, indicator
+    g = global_indicator(graph, partition)
+    return graph, partition, result, g
 
 
 def test_report_columns_values_and_types():
-    graph, partition, result, indicator = _report_fixture()
-    columns = report_columns(graph, partition, result, indicator)
+    graph, partition, result, g = _report_fixture()
+    columns = report_columns(graph, partition, result, g)
     assert list(columns) == list(REPORT_COLUMNS)
     assert columns == {
-        "node_id": [str(v) for v in range(5)], "G": indicator.g.tolist(),
+        "node_id": [str(v) for v in range(5)], "G": g.tolist(),
         "community": partition.labels.tolist(), "bc": result.bc.tolist(),
         "bridgeness": result.bridgeness.tolist(), "degree": graph.degrees.tolist()}
     assert [type(columns[name][0]) for name in REPORT_COLUMNS] == [
@@ -230,25 +230,25 @@ def test_report_columns_single_node_zero_row():
     graph = Graph.from_edges(1, [])
     partition = Partition.from_labels([0])
     result = bridgeness_exact(graph)
-    indicator = global_indicator(graph, partition)
-    columns = report_columns(graph, partition, result, indicator)
+    g = global_indicator(graph, partition)
+    columns = report_columns(graph, partition, result, g)
     assert columns == {"node_id": ["0"], "G": [0.0], "community": [0], "bc": [0.0],
                        "bridgeness": [0.0], "degree": [0]}
 
 
 def test_report_columns_sorted_by_bc():
-    graph, partition, result, indicator = _report_fixture()
-    values = report_columns(graph, partition, result, indicator, sort_by="bc")["bc"]
+    graph, partition, result, g = _report_fixture()
+    values = report_columns(graph, partition, result, g, sort_by="bc")["bc"]
     assert values == sorted(values, reverse=True)
     with pytest.raises(ValueError):
-        report_columns(graph, partition, result, indicator, sort_by="nope")
+        report_columns(graph, partition, result, g, sort_by="nope")
 
 
 def test_write_node_report_header():
     import io
 
-    graph, partition, result, indicator = _report_fixture()
-    columns = report_columns(graph, partition, result, indicator)
+    graph, partition, result, g = _report_fixture()
+    columns = report_columns(graph, partition, result, g)
     buf = io.StringIO()
     write_node_report(columns, buf)
     assert buf.getvalue().splitlines()[0] == "node_id,G,community,bc,bridgeness,degree"

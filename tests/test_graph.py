@@ -182,10 +182,8 @@ def edge_lines(graph, ids):
 
 
 def test_write_edge_list_memory_at_n_10000():
-    # the documented bound: 34 m + 8 (n + 1) while the endpoints are picked
-    # (measured 35.1 bytes per edge), then 16 m plus about 100 bytes per
-    # line of one chunk; 191 per edge when every line was formatted before
-    # one write
+    # the documented bound: about 130 bytes per line of one chunk, whatever
+    # m is (measured 130.6)
     n = 10000
     graph = generate(LfrConfig(n=n, communities=300, mu=0.2, seed=3)).graph
     table = NodeTable.identity(n)
@@ -200,8 +198,7 @@ def test_write_edge_list_memory_at_n_10000():
         tracemalloc.stop()
     assert sink.digest.hexdigest() == expected
     assert sink.writes == -(-m // graph_module._WRITE_CHUNK)
-    chunk = 100 * graph_module._WRITE_CHUNK
-    assert peak <= max(34 * m, 16 * m + chunk) + 8 * (n + 1) + 2**14
+    assert peak <= 144 * graph_module._WRITE_CHUNK + 2**14
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 2**13])

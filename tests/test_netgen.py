@@ -119,16 +119,44 @@ def test_rewire_unreachable_target_errors(monkeypatch):
 
 
 def test_rewiring_exhaustion_errors(monkeypatch):
-    # drain all intra links with an unreachable target
-    labels = np.array([0, 0, 1, 1])
-    state = _WiringState(labels=labels, intra=[[1], [0], [3], [2]], inter=[[], [], [], []],
-                         nodes=list(range(4)), selection="node")
+    # every intra link ends in a leaf, and moving it would leave the leaf
+    # isolated: no attempt converts a link
+    monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
+    monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 500)
+    for selection in ("node", "link"):
+        state = _WiringState(labels=np.array([0, 0, 1, 1]), intra=[[1], [0], [3], [2]],
+                             inter=[[], [], [], []], nodes=list(range(4)), selection=selection,
+                             intra_edges=[(0, 1), (2, 3)])
+        with pytest.raises(GenerationError, match="not reached after 500 attempts"):
+            _rewire_to_mu(state, 0.99, np.random.default_rng(1))
+        assert state.intra == [[1], [0], [3], [2]] and state.mu() == 0.0
+
+
+@pytest.mark.parametrize("selection", ["node", "link"])
+def test_rewiring_drains_every_intra_link_without_isolating_a_node(monkeypatch, selection):
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    intra = [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]
+    state = _WiringState(labels=labels, intra=intra, inter=[[] for _ in range(6)],
+                         nodes=list(range(6)), selection=selection,
+                         intra_edges=[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
     monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 500)
     rewired, attempts, _ = _rewire_to_mu(state, 0.99, np.random.default_rng(1))
     assert state.mu() == 1.0
-    assert rewired  # both intra edges converted before the target was hit
-    assert attempts >= 2  # one per converted link at least
+    assert rewired  # every intra edge converted before the target was hit
+    assert attempts >= 6  # one per converted link at least
+    assert all(state.inter)  # every node keeps a link
+
+
+@pytest.mark.parametrize("selection", ["node", "link"])
+def test_generate_leaves_no_node_isolated(selection):
+    # this rewiring reaches far ends of degree 1 (nodes 7 and 31 under
+    # "node" at mu = 0.1)
+    for mu in (0.1, 0.3):
+        net = generate(LfrConfig(n=40, communities=2, mu=mu, seed=5, min_degree=1,
+                                 max_degree=4, mean_degree=2.5, selection=selection))
+        assert net.graph.degrees.min() >= 1
+        assert net.achieved_mu >= mu
 
 
 def test_rewiring_an_empty_graph_errors():

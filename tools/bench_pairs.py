@@ -19,7 +19,10 @@ records each run's wall seconds and the CPU seconds of its child processes
 CPU/wall is below ``FLAG_BELOW`` of that side's median: such a run waited
 for the CPU, most likely behind other processes. Flagged runs are kept in every summary, never dropped. The
 workload is written under its name into ``BENCH_<label>.json`` in the
-current directory, so runs for several workloads share one file.
+current directory, so runs for several workloads share one file. The file
+is written even when a run's output checks failed; then the side and seeds
+of those runs are printed and the exit status is 1, since metrics of wrong
+outputs support no comparison.
 """
 from __future__ import annotations
 
@@ -152,7 +155,12 @@ def main(argv: list[str] | None = None) -> int:
     data.setdefault("workloads", {})[args.workload] = record
     out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {args.workload} to {out}")
-    return 0
+    failed = {side: [seed for seed, n in zip(args.seeds, record["failed"][side]) if n]
+              for side in SIDES}
+    for side, seeds in failed.items():
+        if seeds:
+            print(f"{side}: failed checks on seeds {seeds}", file=sys.stderr)
+    return 1 if any(failed.values()) else 0
 
 
 if __name__ == "__main__":
