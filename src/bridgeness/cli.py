@@ -63,8 +63,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_provenance(path: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
-    inputs = [Path(p) for p in (getattr(args, "input", None), getattr(args, "partition", None))
-              if p is not None]
+    inputs = [Path(getattr(args, name)) for name in ("input", "partition") if hasattr(args, name)]
     record = {
         "tool": "bridgeness",
         "version": __version__,
