@@ -293,19 +293,18 @@ def test_generate_writes_files_and_is_reproducible(tmp_path, capsys):
 def test_generate_dotted_prefixes_keep_their_own_files(tmp_path, capsys):
     # the suffixes are appended to the prefix's name, so lfr_mu0.2 and
     # lfr_mu0.3 do not both write lfr_mu0.edges
+    out_dir = tmp_path / "o"
     names = ("edges", "communities.csv", "provenance.json")
     for mu in ("0.2", "0.3"):
         args = [a if a != "0.15" else mu for a in LFR_ARGS]
-        assert main(["generate", *args, "--output-prefix", str(tmp_path / "o" / f"lfr_mu{mu}")]) == 0
-        out = capsys.readouterr().out
-        assert f"wrote {tmp_path / 'o' / f'lfr_mu{mu}.edges'} (" in out
-    files = sorted(path.name for path in (tmp_path / "o").iterdir())
+        assert main(["generate", *args, "--output-prefix", str(out_dir / f"lfr_mu{mu}")]) == 0
+        assert f"wrote {out_dir / f'lfr_mu{mu}.edges'} (" in capsys.readouterr().out
+    files = sorted(path.name for path in out_dir.iterdir())
     assert files == sorted(f"lfr_mu{mu}.{name}" for mu in ("0.2", "0.3") for name in names)
     for mu in ("0.2", "0.3"):
-        meta = json.loads((tmp_path / "o" / f"lfr_mu{mu}.provenance.json").read_text())
+        meta = json.loads((out_dir / f"lfr_mu{mu}.provenance.json").read_text())
         assert meta["config"]["mu"] == float(mu)
-    assert ((tmp_path / "o" / "lfr_mu0.2.edges").read_bytes()
-            != (tmp_path / "o" / "lfr_mu0.3.edges").read_bytes())
+    assert (out_dir / "lfr_mu0.2.edges").read_bytes() != (out_dir / "lfr_mu0.3.edges").read_bytes()
 
 
 SEED_RUNS = {
