@@ -18,7 +18,7 @@ from bridgeness import (
     modularity,
 )
 
-from util import best_label_agreement, complete_graph, reference_one_level
+from util import best_label_agreement, complete_graph, edge_array, reference_one_level
 
 
 def two_cliques(k, bridge=True):
@@ -63,6 +63,53 @@ def test_modularity_bridged_triangles():
 def test_modularity_empty_graph_errors():
     with pytest.raises(ValueError):
         modularity(Graph.from_edges(3, []), Partition.from_labels([0, 0, 0]))
+
+
+# (seed, n, p, communities, mix, isolated): labels drawn from ``communities``,
+# some unused; a link within a community has probability p and one between
+# communities p * mix; ``isolated`` leaves the last node without links
+MODULARITY_CASES = [
+    (0, 12, 0.3, 1, 1.0, False), (1, 12, 0.3, 12, 1.0, False), (2, 20, 0.2, 3, 1.0, True),
+    (3, 30, 0.3, 5, 0.1, False), (4, 40, 0.15, 40, 1.0, True), (5, 50, 0.3, 7, 0.05, False),
+    (6, 60, 0.05, 60, 1.0, False), (7, 8, 0.9, 2, 1.0, False), (8, 25, 0.5, 30, 1.0, False),
+    (9, 100, 0.2, 10, 0.1, True), (10, 100, 0.04, 1, 1.0, False), (11, 150, 0.03, 150, 1.0, False),
+    (12, 200, 0.3, 20, 0.02, False), (13, 200, 0.1, 4, 1.0, True), (14, 5, 0.6, 2, 1.0, True),
+    (15, 300, 0.02, 300, 1.0, True), (16, 300, 0.2, 37, 0.05, False), (17, 80, 0.2, 80, 1.0, False),
+    (18, 400, 0.1, 12, 0.2, False), (19, 400, 0.3, 150, 0.01, True),
+]
+# repr(modularity(...)) of each case, recorded from the whole-array computation
+MODULARITY_REPRS = [
+    "0.0", "-0.04375", "0.04269972451790635", "0.5934256055363321", "0.026534636488340188",
+    "0.5224244698817789", "0.0006487889273356334", "-0.028799999999999968",
+    "-0.04174817898022894", "0.49613776373328233", "0.0", "-0.011861515015000624",
+    "0.65381844602208", "-0.01048005305581061", "-0.125", "-0.0015466900435801107",
+    "0.3140467775651927", "-0.009703798425698334", "0.22099346656224758",
+    "0.35648345724489566",
+]
+
+
+def modularity_case(seed, n, p, count, mix, isolated):
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64) if count == 1 else rng.integers(0, count, size=n)
+    last = n - 1 if isolated else n
+    edges = [(i, j) for i in range(last) for j in range(i + 1, last)
+             if rng.random() < (p if labels[i] == labels[j] else p * mix)]
+    return Graph.from_edges(n, edges), Partition(labels=labels, community_count=count)
+
+
+@pytest.mark.parametrize("case, expected", zip(MODULARITY_CASES, MODULARITY_REPRS))
+def test_modularity_bits_are_pinned_and_match_networkx(case, expected):
+    import networkx as nx
+
+    graph, partition = modularity_case(*case)
+    q = modularity(graph, partition)
+    assert repr(q) == expected
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(graph.node_count))
+    nxg.add_edges_from(edge_array(graph).tolist())
+    labels = partition.labels.tolist()
+    groups = [{v for v in range(len(labels)) if labels[v] == c} for c in sorted(set(labels))]
+    assert abs(q - nx.community.modularity(nxg, groups)) <= 1e-12
 
 
 def test_louvain_recovers_two_cliques():
