@@ -152,12 +152,14 @@ def cmd_communities(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    prefix = Path(args.output_prefix)
+    if not prefix.name:
+        raise CliError(f"--output-prefix {args.output_prefix!r} names no file")
     try:
         net = generate(LfrConfig(**{f.name: getattr(args, f.name) for f in fields(LfrConfig)}))
     except (ValueError, GenerationError) as exc:
         raise CliError(f"generation failed: {exc}") from exc
 
-    prefix = Path(args.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     table = NodeTable.identity(net.graph.node_count)
     # appended to the prefix's name, so a dotted prefix keeps its every part

@@ -32,7 +32,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .graph import Graph, Partition
+from .graph import Graph, Partition, incidence_blocks
+
+_BLOCK = 1 << 14  # CSR incidences modularity reads at a time
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,16 @@ def modularity(graph: Graph, partition: Partition) -> float:
         raise ValueError("modularity is undefined on an empty graph")
     if len(partition) != graph.node_count:
         raise ValueError("partition does not cover the graph")
-    m = graph.edge_count
+    m, c = graph.edge_count, partition.community_count
     labels = partition.labels
-    own = np.repeat(labels, graph.degrees)  # each CSR incidence's row community
-    # an internal edge is two internal incidences; halving whole counts is exact
-    internal = np.bincount(own, weights=own == labels[graph.indices],
-                           minlength=partition.community_count) / 2.0
-    comm_degree = np.bincount(labels, weights=graph.degrees, minlength=partition.community_count)
+    # internal incidences per community, counted exactly one block at a time;
+    # a block of at least C incidences keeps the bincounts' cost linear
+    internal = np.zeros(c, dtype=np.int64)
+    for rows, nbrs in incidence_blocks(graph, max(_BLOCK, c)):
+        own = labels[rows]
+        internal += np.bincount(own[own == labels[nbrs]], minlength=c)
+    internal = internal / 2.0  # an internal edge is two internal incidences
+    comm_degree = np.bincount(labels, weights=graph.degrees, minlength=c)
     return float((internal / m - (comm_degree / (2.0 * m)) ** 2).sum())
 
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from itertools import chain
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -252,6 +253,16 @@ def load_edge_list(
     return Graph._from_sorted_keys(len(ids), width, keys), NodeTable(ids=ids)
 
 
+def incidence_blocks(graph: Graph, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each run of ``size`` CSR incidences in order (the last may be shorter)
+    as two arrays: the row of each incidence, and its neighbour."""
+    indptr, indices = graph.indptr, graph.indices
+    for a in range(0, len(indices), size):
+        b = min(a + size, len(indices))
+        lo, hi = int(indptr.searchsorted(a, side="right")) - 1, int(indptr.searchsorted(b))
+        yield np.repeat(np.arange(lo, hi), np.diff(np.clip(indptr[lo:hi + 1], a, b))), indices[a:b]
+
+
 def write_rows(stream: IO[str], header: str, fmt: str, *columns: Iterable) -> None:
     """Write ``header``, then ``fmt % row`` for each row of ``columns``, in one
     write. Columns of unequal length raise ValueError."""
@@ -263,15 +274,13 @@ def write_edge_list(graph: Graph, table: NodeTable, stream: IO[str]) -> None:
     ``load_edge_list``, ``_WRITE_CHUNK`` lines per write. The edges are the
     incidences above the diagonal, picked from ``_WRITE_CHUNK`` incidences
     at a time."""
-    ids, indptr, indices = table.ids, graph.indptr, graph.indices
-    lo = hi = indices[:0]  # edges picked and not yet written
-    for start in range(0, len(indices), _WRITE_CHUNK):
-        cols = indices[start:start + _WRITE_CHUNK]
-        rows = indptr.searchsorted(np.arange(start, start + len(cols)), side="right") - 1
+    ids = table.ids
+    lo = hi = graph.indices[:0]  # edges picked and not yet written
+    # a last, empty block flushes the rest
+    for rows, cols in chain(incidence_blocks(graph, _WRITE_CHUNK), [(lo, hi)]):
         upper = rows < cols
         lo, hi = np.concatenate((lo, rows[upper])), np.concatenate((hi, cols[upper]))
-        last = start + _WRITE_CHUNK >= len(indices)
-        while len(lo) >= _WRITE_CHUNK or (last and len(lo)):
+        while len(lo) >= _WRITE_CHUNK or (len(lo) and not len(rows)):
             write_rows(stream, "", "%s %s\n", [ids[u] for u in lo[:_WRITE_CHUNK].tolist()],
                        [ids[v] for v in hi[:_WRITE_CHUNK].tolist()])
             lo, hi = lo[_WRITE_CHUNK:], hi[_WRITE_CHUNK:]

@@ -20,10 +20,11 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Graph, NodeTable, Partition, write_rows
+from .graph import Graph, NodeTable, Partition, incidence_blocks, write_rows
 
 
 _SCRATCH = 1 << 20  # bytes of the dense block G's rows are summed in
+_BLOCK = 1 << 14  # CSR incidences read at a time
 
 
 def global_indicator(graph: Graph, partition: Partition) -> np.ndarray:
@@ -39,14 +40,23 @@ def global_indicator(graph: Graph, partition: Partition) -> np.ndarray:
         raise ValueError(f"partition covers {len(partition)} nodes, graph has {n}")
     if c * c >= 2**63:
         raise ValueError(f"{c} communities too many: keys need C * C < 2**63")
-    # one entry per CSR incidence node -> neighbour, in node order
-    own = np.repeat(partition.labels, graph.degrees)
-    foreign = partition.labels[graph.indices]
-    inter = np.flatnonzero(own != foreign)  # a boolean mask index is slower
-    rows, cols = np.repeat(np.arange(n), graph.degrees)[inter], foreign[inter]
-    keys = own[inter] * c + cols
+    # each block of incidences keeps only its inter-community ones: the row,
+    # the foreign community and the key of the pair of communities
+    labels = partition.labels
+    rows, cols, keys = [labels[:0]], [labels[:0]], [labels[:0]]
+    for block_rows, nbrs in incidence_blocks(graph, _BLOCK):
+        own, foreign = labels[block_rows], labels[nbrs]
+        inter = np.flatnonzero(own != foreign)  # a boolean mask index is slower
+        rows.append(block_rows[inter])
+        cols.append(foreign[inter])
+        keys.append(own[inter] * c + cols[-1])
+    # one at a time, so each list of pieces is freed before the next is joined
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    keys = np.concatenate(keys)
     links, counts = np.unique(keys, return_counts=True)
     values = 1.0 / counts[np.searchsorted(links, keys)]
+    del links, counts, keys
     g = np.zeros(n)
     step = max(1, _SCRATCH // (8 * max(c, 1)))
     block = np.zeros((min(step, n), c))

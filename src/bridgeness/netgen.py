@@ -411,19 +411,30 @@ def _rewire_to_mu(
     end reattaches to a random external stub (degree-proportional, see
     ``_FenwickSampler``), with at most ``_MAX_TARGET_RETRIES`` stub draws
     per attempt; past ``_MAX_REWIRE_ATTEMPTS`` attempts it raises
-    GenerationError. Returns the set of kept endpoints, the attempts and the
-    refused stub draws.
+    GenerationError, and so it does as soon as every intra link left joins
+    two nodes of degree 1, since no attempt can move one. Returns the set of
+    kept endpoints, the attempts and the refused stub draws.
     """
     n = len(state.intra)
     labels = state.labels.tolist()
     stubs = _FenwickSampler([len(a) + len(b) for a, b in zip(state.intra, state.inter)])
+    degree, intra_rows = stubs.weights, state.intra
+
+    def lone_intra(v: int) -> bool:
+        """Whether v's only link is an intra link to another node of degree 1."""
+        row = intra_rows[v]
+        return degree[v] == 1 and len(row) == 1 and degree[row[0]] == 1
+
+    # no attempt can rewire a dead link, one between two nodes of degree 1;
+    # a rewire changes the degree of u and w only, so it updates the count
+    dead = sum(map(lone_intra, range(n))) // 2
     rewired: set[int] = set()
     attempts = rejections = 0
     while state.mu() < target_mu:
-        if state.inter_count == state.edge_count:
-            raise GenerationError(
-                f"mu target {target_mu} unreachable: no intra-community links left"
-            )
+        if state.edge_count - state.inter_count == dead:
+            raise GenerationError(f"mu target {target_mu} unreachable: " + (
+                f"each of the {dead} intra-community links left joins two nodes of degree 1"
+                if dead else "no intra-community links left"))
         attempts += 1
         if attempts > _MAX_REWIRE_ATTEMPTS:
             raise GenerationError(
@@ -438,7 +449,7 @@ def _rewire_to_mu(
         else:
             a, b = state.intra_edges[int(rng.integers(len(state.intra_edges)))]
             v, u = (a, b) if rng.random() < 0.5 else (b, a)
-        if stubs.weights[u] == 1:
+        if degree[u] == 1:
             continue
 
         # a kept node saturated toward the outside is resampled next attempt;
@@ -449,6 +460,10 @@ def _rewire_to_mu(
                 state.drop_intra(v, u)
                 state.add_inter(v, w)
                 stubs.move(u, w)
+                dead += lone_intra(u)
+                # w was of degree 1 if it is of degree 2 beside one intra link
+                row = intra_rows[w]
+                dead -= degree[w] == 2 and len(row) == 1 and degree[row[0]] == 1
                 rewired.add(v)
                 break
             rejections += 1

@@ -23,8 +23,8 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     for checkout in (parent, change):
         checkout.mkdir()
         (checkout / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7, "end_to_end": [
-            {"name": "pipeline_s", "better": "lower"},
-            {"name": "score", "better": "higher"}]}))
+            {"name": "pipeline_s", "better": "lower", "bound": 0.25},
+            {"name": "score", "better": "higher", "bound": 0.05}]}))
     calls = []
 
     def fake_run(checkout, workload, seed, seconds):
@@ -67,7 +67,7 @@ def test_failed_checks_are_printed_and_exit_1(tmp_path, monkeypatch, capsys):
     for checkout in (parent, change):
         checkout.mkdir()
         (checkout / "BENCHMARK.json").write_text(json.dumps({
-            "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower"}]}))
+            "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower", "bound": 0.25}]}))
 
     def fake_run(checkout, workload, seed, seconds):
         failed = 2 if checkout == change and seed in (2, 4) else 0
@@ -104,7 +104,7 @@ def test_usage_flags_a_run_that_waits_and_keeps_it(tmp_path, monkeypatch):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({
-            "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower"}]}))
+            "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower", "bound": 0.25}]}))
     real_run = bench_pairs.run
 
     def run_beside_a_hog(checkout, workload, seed, seconds):
@@ -137,6 +137,62 @@ def test_usage_flags_a_run_that_waits_and_keeps_it(tmp_path, monkeypatch):
         assert usage["flagged_seeds"] == [2]
         assert len(record["metrics"]["pipeline_s"][side]["runs"]) == 3  # flagged, still kept
         assert record["passes"][side]["runs"] == [2, 3, 4]  # parsed from each run's output
+
+
+PARENT = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # IQR 0.9, median 10.9
+
+
+@pytest.mark.parametrize("change, wins_9, beyond_iqr, within", [
+    ([p - 1.0 for p in PARENT], True, True, True),  # 10/10, median gain 1.0 > 0.9
+    ([p - 0.5 for p in PARENT], True, False, True),  # 10/10, gain 0.5 inside the IQR
+    ([p - 1.0 for p in PARENT[:8]] + PARENT[8:], False, True, True),  # 8 wins, 2 ties
+    ([p - 1.0 for p in PARENT[:9]] + [PARENT[9] + 5], True, True, True),  # 9 wins, 1 loss
+    ([p + 0.5 for p in PARENT], False, False, True),  # 0.5 worse: inside 5% of 10.9
+    ([p + 0.6 for p in PARENT], False, False, False),  # 0.6 worse: beyond 5% of 10.9
+])
+def test_verdict_tests_each_rule_on_both_sides(change, wins_9, beyond_iqr, within):
+    v = bench_pairs.verdict("lower", 0.05, PARENT, change)
+    assert (v["wins_9_of_10"], v["gain_exceeds_iqr"], v["within_bound"]) == (
+        wins_9, beyond_iqr, within)
+    assert v["parent_iqr"] == pytest.approx(0.9)
+    assert v["wins"] + v["losses"] + v["ties"] == len(PARENT)
+
+
+def test_verdict_for_a_higher_is_better_metric_and_its_line():
+    higher = bench_pairs.verdict("higher", 0.05, PARENT, [p + 1.0 for p in PARENT])
+    assert (higher["wins"], higher["losses"], higher["ties"]) == (10, 0, 0)
+    assert higher["gain_exceeds_iqr"] and higher["within_bound"]
+    lower = bench_pairs.verdict("higher", 0.05, PARENT, [p - 0.6 for p in PARENT])
+    assert (lower["wins"], lower["losses"], lower["within_bound"]) == (0, 10, False)
+    tied = bench_pairs.verdict("lower", 0.05, PARENT, PARENT)
+    assert (tied["ties"], tied["wins_9_of_10"], tied["within_bound"]) == (10, False, True)
+    assert bench_pairs.verdict_line("x", higher) == (
+        "x: better in 10/10 pairs (0 worse, 0 tied), 9/10 yes; median gain 1 against parent "
+        "IQR 0.9, beyond it yes; within the 0.05 bound yes")
+
+
+def test_main_prints_and_records_each_verdict(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}))
+
+    def fake_run(checkout, workload, seed, seconds):
+        value = PARENT[seed - 1] - (1.0 if checkout.name == "change" else 0.0)
+        return {"failed": 0, "environment": None, "metrics": {"peak_rss_mb": {"value": value}},
+                "raw": {"wall_s": 1.0, "kernel_s": 0.05}, "passes": 3,
+                "usage": {"wall_s": 1.0, "cpu_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--seeds", "1-10", "--label", "t"]) == 0
+    out = capsys.readouterr().out
+    assert "peak_rss_mb: better in 10/10 pairs (0 worse, 0 tied), 9/10 yes;" in out
+    metric = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]["metrics"][
+        "peak_rss_mb"]
+    assert metric["change_better_pairs"] == "10/10"
+    assert metric["verdict"]["gain_exceeds_iqr"] and metric["verdict"]["within_bound"]
 
 
 PASSES_LINE = ("passes: 3, of which traced 0; wall seconds per pass 1.300, 1.200, 1.250; "

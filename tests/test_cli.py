@@ -356,6 +356,17 @@ def test_generate_one_community_with_mixing_exits_1(tmp_path, capsys):
     assert (tmp_path / "y.edges").exists()
 
 
+@pytest.mark.parametrize("prefix", [".", ""])
+def test_generate_prefix_without_a_name_exits_1_before_writing(tmp_path, monkeypatch, capsys, prefix):
+    # "." used to fail in Path.with_name with a traceback once the network was built
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", *LFR_ARGS, "--output-prefix", prefix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --output-prefix {prefix!r} names no file"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["-3", "0", "nan"])
 def test_generate_bad_mean_degree_exits_1(tmp_path, capsys, value):
     code = main(["generate", *LFR_ARGS, "--mean-degree", value,

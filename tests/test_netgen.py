@@ -120,16 +120,29 @@ def test_rewire_unreachable_target_errors(monkeypatch):
 
 def test_rewiring_exhaustion_errors(monkeypatch):
     # every intra link ends in a leaf, and moving it would leave the leaf
-    # isolated: no attempt converts a link
+    # isolated: no attempt converts a link, so none is made
     monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
     monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 500)
     for selection in ("node", "link"):
         state = _WiringState(labels=np.array([0, 0, 1, 1]), intra=[[1], [0], [3], [2]],
                              inter=[[], [], [], []], nodes=list(range(4)), selection=selection,
                              intra_edges=[(0, 1), (2, 3)])
-        with pytest.raises(GenerationError, match="not reached after 500 attempts"):
+        with pytest.raises(GenerationError, match="unreachable: each of the 2 intra-community"):
             _rewire_to_mu(state, 0.99, np.random.default_rng(1))
         assert state.intra == [[1], [0], [3], [2]] and state.mu() == 0.0
+
+
+@pytest.mark.parametrize("config, dead", [
+    (dict(seed=1, max_degree=1), 22),  # every link joins two nodes of degree 1 from the start
+    (dict(seed=3, max_degree=3, selection="link"), 13),  # the last ones die after 11 rewires
+])
+def test_generate_stops_once_every_intra_link_left_is_dead(config, dead):
+    # the first config ran 10**6 attempts before it failed, since no attempt
+    # can move a link whose two ends have no other link
+    with pytest.raises(GenerationError, match=(
+            f"mu target 0.5 unreachable: each of the {dead} intra-community links left "
+            "joins two nodes of degree 1")):
+        generate(LfrConfig(n=44, communities=2, mu=0.5, min_degree=1, mean_degree=1, **config))
 
 
 @pytest.mark.parametrize("selection", ["node", "link"])

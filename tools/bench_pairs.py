@@ -22,7 +22,10 @@ workload is written under its name into ``BENCH_<label>.json`` in the
 current directory, so runs for several workloads share one file. The file
 is written even when a run's output checks failed; then the side and seeds
 of those runs are printed and the exit status is 1, since metrics of wrong
-outputs support no comparison.
+outputs support no comparison. Per metric it prints and records a verdict:
+whether the change won 9 of 10 pairs, whether its median gain exceeds the
+parent's inter-quartile distance, and whether its median stays within the
+metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median).
 """
 from __future__ import annotations
 
@@ -98,6 +101,36 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(direction: str, bound: float, parent: list[float], change: list[float]) -> dict:
+    """The three tests a claimed or bounded metric must pass, from paired runs.
+
+    ``wins_9_of_10``: the change is better in at least 9 of every 10 pairs,
+    a tie counting for neither side. ``gain_exceeds_iqr``: the change's
+    median is better than the parent's by more than the parent's
+    inter-quartile distance. ``within_bound``: the change's median is no
+    worse than the parent's by more than ``bound`` of it.
+    """
+    sign = -1.0 if direction == "lower" else 1.0  # sign * (change - parent) > 0 is better
+    gains = [sign * (c - p) for p, c in zip(parent, change)]
+    wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+    p, c = summary(parent), summary(change)
+    gain = sign * (c["median"] - p["median"])
+    return {"wins": wins, "losses": losses, "ties": len(gains) - wins - losses,
+            "wins_9_of_10": 10 * wins >= 9 * len(gains),
+            "median_gain": gain, "parent_iqr": p["q3"] - p["q1"],
+            "gain_exceeds_iqr": gain > p["q3"] - p["q1"],
+            "bound": bound, "within_bound": gain >= -bound * abs(p["median"])}
+
+
+def verdict_line(name: str, v: dict) -> str:
+    yes = {True: "yes", False: "NO"}
+    pairs = v["wins"] + v["losses"] + v["ties"]
+    return (f"{name}: better in {v['wins']}/{pairs} pairs ({v['losses']} worse, {v['ties']} tied), "
+            f"9/10 {yes[v['wins_9_of_10']]}; median gain {v['median_gain']:.4g} against parent "
+            f"IQR {v['parent_iqr']:.4g}, beyond it {yes[v['gain_exceeds_iqr']]}; "
+            f"within the {v['bound']:g} bound {yes[v['within_bound']]}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -110,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--seeds needs at least two seeds for quartiles")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    ends = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -141,14 +174,15 @@ def main(argv: list[str] | None = None) -> int:
         if record["usage"][side]["flagged_seeds"]:
             print(f"{side}: CPU/wall below {FLAG_BELOW} of the median on seeds "
                   f"{record['usage'][side]['flagged_seeds']} (kept)")
-    for name, direction in better.items():
-        pairs = list(zip(values("parent", name), values("change", name)))
-        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+    for name, (direction, bound) in ends.items():
+        v = verdict(direction, bound, values("parent", name), values("change", name))
         record["metrics"][name] = {
             "better": direction,
             **{side: summary(values(side, name)) for side in SIDES},
-            "change_better_pairs": f"{wins}/{len(pairs)}",
+            "change_better_pairs": f"{v['wins']}/{len(args.seeds)}",
+            "verdict": v,
         }
+        print(verdict_line(name, v))
     out = Path(f"BENCH_{args.label}.json")
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     data.setdefault("label", args.label)
