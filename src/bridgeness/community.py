@@ -23,6 +23,13 @@ Level 0 keeps each CSR row as a list of the nodes' int objects, one per
 node and shared by every row, and counts every link as 1.0; aggregated
 levels keep a dict of weights per node. A run peaks at about
 ``32 m + 300 n`` bytes above the graph (4.8 MiB at n=10000, m=75080).
+
+:func:`modularity` counts each community's internal incidences in whole
+numbers, one block of ``max(_BLOCK, C)`` CSR incidences at a time, so the
+bincount of each block costs no more than the block. It peaks at about 25
+bytes per incidence of one block plus ``24 C + 8 (n + 1)`` above the graph
+and partition (0.47 MiB at n=10000, C=300; 0.40 MiB measured, where the
+whole-incidence arrays peaked at 2.44 MiB).
 """
 from __future__ import annotations
 

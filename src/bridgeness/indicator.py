@@ -5,14 +5,22 @@ that node i touches with at least one edge, the inverse of the total number
 of links between i's community and J. Nodes with only intra-community links
 get G = 0; the sole link between two communities scores a full 1.0.
 
-Memory is O(n + m) plus one dense scratch block of ``_SCRATCH`` bytes (or
-one row of C floats, if that is larger). The CSR incidences are read as
-they are, each edge once from each end. The link counts are kept as
-sorted int64 keys, and each inter-community incidence writes its term into
-the block at (node, foreign community). The block
-exists because numpy's row ``sum`` adds a row's terms pairwise by column
-position, so each row's terms are written at their columns and summed there
-to give the same bits as a sum over a dense n x C row.
+The CSR incidences are read ``_BLOCK`` at a time, each edge once from each
+end, and only the I inter-community ones are kept: row, foreign community
+and the int64 key of the pair of communities, from which the link counts
+come. Each inter-community incidence then writes its term into a dense
+scratch block of ``_SCRATCH`` bytes (or one row of C floats, if that is
+larger) at (node, foreign community). The block exists because numpy's row
+``sum`` adds a row's terms pairwise by column position, so each row's terms
+are written at their columns and summed there to give the same bits as a
+sum over a dense n x C row.
+
+Memory above the graph and partition: the rows, foreign communities and
+values of the I incidences, G and the block, ``24 I + 8 n + max(_SCRATCH,
+8 C)`` bytes, or ``40 I`` while the values are formed if that is more, plus
+about 32 bytes per incidence of one block of ``_BLOCK``. At n=10000,
+m=75080, I=30032 and C=300 that is 2.26 MiB; 1.85 MiB was measured, where
+the whole-incidence arrays peaked at 4.96 MiB.
 """
 from __future__ import annotations
 

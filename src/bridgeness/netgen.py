@@ -457,13 +457,11 @@ def _rewire_to_mu(
         for _ in range(_MAX_TARGET_RETRIES):
             w = stubs.draw(rng)
             if labels[w] != labels[v] and w not in state.inter[v]:
+                dead -= lone_intra(w)  # w gains a link
                 state.drop_intra(v, u)
                 state.add_inter(v, w)
                 stubs.move(u, w)
-                dead += lone_intra(u)
-                # w was of degree 1 if it is of degree 2 beside one intra link
-                row = intra_rows[w]
-                dead -= degree[w] == 2 and len(row) == 1 and degree[row[0]] == 1
+                dead += lone_intra(u)  # and u, of degree 2 or more, loses one
                 rewired.add(v)
                 break
             rejections += 1

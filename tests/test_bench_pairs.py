@@ -66,8 +66,8 @@ def test_failed_checks_are_printed_and_exit_1(tmp_path, monkeypatch, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
         checkout.mkdir()
-        (checkout / "BENCHMARK.json").write_text(json.dumps({
-            "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower", "bound": 0.25}]}))
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+            {"name": "pipeline_s", "better": "lower", "bound": 0.25}]}))
 
     def fake_run(checkout, workload, seed, seconds):
         failed = 2 if checkout == change and seed in (2, 4) else 0
@@ -103,8 +103,8 @@ def test_usage_flags_a_run_that_waits_and_keeps_it(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
-        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({
-            "run_seconds": 1, "end_to_end": [{"name": "pipeline_s", "better": "lower", "bound": 0.25}]}))
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+            {"name": "pipeline_s", "better": "lower", "bound": 0.25}]}))
     real_run = bench_pairs.run
 
     def run_beside_a_hog(checkout, workload, seed, seconds):

@@ -357,7 +357,8 @@ def test_generate_one_community_with_mixing_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("prefix", [".", ""])
-def test_generate_prefix_without_a_name_exits_1_before_writing(tmp_path, monkeypatch, capsys, prefix):
+def test_generate_prefix_without_a_name_exits_1_before_writing(
+        tmp_path, monkeypatch, capsys, prefix):
     # "." used to fail in Path.with_name with a traceback once the network was built
     monkeypatch.chdir(tmp_path)
     assert main(["generate", *LFR_ARGS, "--output-prefix", prefix]) == 1

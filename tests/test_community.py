@@ -97,11 +97,14 @@ def modularity_case(seed, n, p, count, mix, isolated):
     return Graph.from_edges(n, edges), Partition(labels=labels, community_count=count)
 
 
+@pytest.mark.parametrize("block", [1, 7, None])
 @pytest.mark.parametrize("case, expected", zip(MODULARITY_CASES, MODULARITY_REPRS))
-def test_modularity_bits_are_pinned_and_match_networkx(case, expected):
+def test_modularity_bits_are_pinned_and_match_networkx(case, expected, block, monkeypatch):
     import networkx as nx
 
     graph, partition = modularity_case(*case)
+    if block is not None:  # blocks of max(block, C) incidences, most ending mid-row
+        monkeypatch.setattr(community, "_BLOCK", block)
     q = modularity(graph, partition)
     assert repr(q) == expected
     nxg = nx.Graph()
@@ -232,6 +235,27 @@ def test_last_level_zero_sweep_skips_unchanged_nodes():
     assert run.evaluations[0][0] == graph.node_count
     assert run.evaluations[0][-1] < graph.node_count
     assert len(run.moves) == len(run.evaluations) == len(run.pass_modularity)
+
+
+@pytest.mark.parametrize("kind", ["ground truth", "singletons"])
+def test_modularity_peak_memory_at_n_10000(kind):
+    # the documented bound; the whole-incidence version peaked at 2.44 MiB
+    # on the ground truth
+    net = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=3))
+    graph, partition = net.graph, net.ground_truth
+    if kind == "singletons":
+        partition = Partition(labels=np.arange(graph.node_count), community_count=graph.node_count)
+    tracemalloc.start()
+    try:
+        modularity(graph, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, c = graph.node_count, partition.community_count
+    assert graph.edge_count == 75080
+    bound = 25 * max(community._BLOCK, c) + 24 * c + 8 * (n + 1)
+    assert peak <= bound
+    assert kind == "singletons" or bound <= 1.38 * 2**20
 
 
 def test_louvain_peak_memory_at_n_10000():

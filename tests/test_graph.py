@@ -214,6 +214,20 @@ def test_write_edge_list_chunks_keep_the_bytes(monkeypatch, chunk):
     assert empty.getvalue() == ""
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 30), p=st.floats(0.0, 1.0), size=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_incidence_blocks_cover_the_incidences_in_order(n, p, size, seed):
+    g = er_graph(n, p, np.random.default_rng(seed))  # isolated rows anywhere
+    blocks = list(graph_module.incidence_blocks(g, size))
+    assert [len(cols) for _, cols in blocks[:-1]] == [size] * (len(blocks) - 1)
+    empty = np.zeros(0, dtype=np.int64)
+    rows = np.concatenate([empty, *(r for r, _ in blocks)])
+    cols = np.concatenate([empty, *(c for _, c in blocks)])
+    assert np.array_equal(rows, np.repeat(np.arange(n), g.degrees))
+    assert np.array_equal(cols, g.indices)
+
+
 def test_graph_arrays_are_read_only():
     graph, _ = load("a b\n")
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgeness import Graph, Partition, global_indicator, indicator
+from bridgeness import Graph, LfrConfig, Partition, generate, global_indicator, indicator
 from bridgeness.indicator import write_indicator_csv
 
 from util import (
@@ -73,6 +73,8 @@ def test_indicator_bits_match_dense_formula(rows, case):
     scratch = indicator._SCRATCH if rows is None else rows * 8 * partition.community_count
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(indicator, "_SCRATCH", scratch)
+        if rows is not None:  # and blocks of 5 incidences, most ending mid-row
+            mp.setattr(indicator, "_BLOCK", 5)
         g = global_indicator(graph, partition)
     assert g.tobytes() == dense_indicator(graph, partition).tobytes()
 
@@ -94,6 +96,24 @@ def test_indicator_memory_is_bounded_with_many_communities():
         tracemalloc.stop()
     assert graph.edge_count > 59000
     assert peak < 50 * 2**20
+
+
+def test_indicator_peak_memory_at_n_10000():
+    # the documented bound; the whole-incidence version peaked at 4.96 MiB
+    net = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=3))
+    graph, partition = net.graph, net.ground_truth
+    tracemalloc.start()
+    try:
+        global_indicator(graph, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, c, labels = graph.node_count, partition.community_count, partition.labels
+    inter = int(np.count_nonzero(np.repeat(labels, graph.degrees) != labels[graph.indices]))
+    assert (graph.edge_count, inter) == (75080, 30032)
+    bound = (max(40 * inter, 24 * inter + 8 * n + max(indicator._SCRATCH, 8 * c))
+             + 32 * indicator._BLOCK)
+    assert peak <= bound <= 2.47 * 2**20
 
 
 def test_indicator_rejects_overflowing_keys():

@@ -125,8 +125,8 @@ def verdict(direction: str, bound: float, parent: list[float], change: list[floa
 def verdict_line(name: str, v: dict) -> str:
     yes = {True: "yes", False: "NO"}
     pairs = v["wins"] + v["losses"] + v["ties"]
-    return (f"{name}: better in {v['wins']}/{pairs} pairs ({v['losses']} worse, {v['ties']} tied), "
-            f"9/10 {yes[v['wins_9_of_10']]}; median gain {v['median_gain']:.4g} against parent "
+    return (f"{name}: better in {v['wins']}/{pairs} pairs "
+            f"({v['losses']} worse, {v['ties']} tied), 9/10 {yes[v['wins_9_of_10']]}; median gain {v['median_gain']:.4g} against parent "
             f"IQR {v['parent_iqr']:.4g}, beyond it {yes[v['gain_exceeds_iqr']]}; "
             f"within the {v['bound']:g} bound {yes[v['within_bound']]}")
 
