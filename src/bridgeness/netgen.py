@@ -418,11 +418,11 @@ def _rewire_to_mu(
     n = len(state.intra)
     labels = state.labels.tolist()
     stubs = _FenwickSampler([len(a) + len(b) for a, b in zip(state.intra, state.inter)])
-    degree, intra_rows = stubs.weights, state.intra
+    degree = stubs.weights
 
     def lone_intra(v: int) -> bool:
         """Whether v's only link is an intra link to another node of degree 1."""
-        row = intra_rows[v]
+        row = state.intra[v]
         return degree[v] == 1 and len(row) == 1 and degree[row[0]] == 1
 
     # no attempt can rewire a dead link, one between two nodes of degree 1;

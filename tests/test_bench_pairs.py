@@ -142,6 +142,11 @@ def test_usage_flags_a_run_that_waits_and_keeps_it(tmp_path, monkeypatch):
 PARENT = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # IQR 0.9, median 10.9
 
 
+def verdict(direction, parent, change):
+    return bench_pairs.verdict(direction, 0.05, bench_pairs.summary(parent),
+                               bench_pairs.summary(change))
+
+
 @pytest.mark.parametrize("change, wins_9, beyond_iqr, within", [
     ([p - 1.0 for p in PARENT], True, True, True),  # 10/10, median gain 1.0 > 0.9
     ([p - 0.5 for p in PARENT], True, False, True),  # 10/10, gain 0.5 inside the IQR
@@ -151,7 +156,7 @@ PARENT = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # IQR 0.9
     ([p + 0.6 for p in PARENT], False, False, False),  # 0.6 worse: beyond 5% of 10.9
 ])
 def test_verdict_tests_each_rule_on_both_sides(change, wins_9, beyond_iqr, within):
-    v = bench_pairs.verdict("lower", 0.05, PARENT, change)
+    v = verdict("lower", PARENT, change)
     assert (v["wins_9_of_10"], v["gain_exceeds_iqr"], v["within_bound"]) == (
         wins_9, beyond_iqr, within)
     assert v["parent_iqr"] == pytest.approx(0.9)
@@ -159,12 +164,12 @@ def test_verdict_tests_each_rule_on_both_sides(change, wins_9, beyond_iqr, withi
 
 
 def test_verdict_for_a_higher_is_better_metric_and_its_line():
-    higher = bench_pairs.verdict("higher", 0.05, PARENT, [p + 1.0 for p in PARENT])
+    higher = verdict("higher", PARENT, [p + 1.0 for p in PARENT])
     assert (higher["wins"], higher["losses"], higher["ties"]) == (10, 0, 0)
     assert higher["gain_exceeds_iqr"] and higher["within_bound"]
-    lower = bench_pairs.verdict("higher", 0.05, PARENT, [p - 0.6 for p in PARENT])
+    lower = verdict("higher", PARENT, [p - 0.6 for p in PARENT])
     assert (lower["wins"], lower["losses"], lower["within_bound"]) == (0, 10, False)
-    tied = bench_pairs.verdict("lower", 0.05, PARENT, PARENT)
+    tied = verdict("lower", PARENT, PARENT)
     assert (tied["ties"], tied["wins_9_of_10"], tied["within_bound"]) == (10, False, True)
     assert bench_pairs.verdict_line("x", higher) == (
         "x: better in 10/10 pairs (0 worse, 0 tied), 9/10 yes; median gain 1 against parent "

@@ -101,8 +101,9 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def verdict(direction: str, bound: float, parent: list[float], change: list[float]) -> dict:
-    """The three tests a claimed or bounded metric must pass, from paired runs.
+def verdict(direction: str, bound: float, parent: dict, change: dict) -> dict:
+    """The three tests a claimed or bounded metric must pass, from the
+    ``summary`` of each side's paired runs.
 
     ``wins_9_of_10``: the change is better in at least 9 of every 10 pairs,
     a tie counting for neither side. ``gain_exceeds_iqr``: the change's
@@ -111,24 +112,23 @@ def verdict(direction: str, bound: float, parent: list[float], change: list[floa
     worse than the parent's by more than ``bound`` of it.
     """
     sign = -1.0 if direction == "lower" else 1.0  # sign * (change - parent) > 0 is better
-    gains = [sign * (c - p) for p, c in zip(parent, change)]
+    gains = [sign * (c - p) for p, c in zip(parent["runs"], change["runs"])]
     wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
-    p, c = summary(parent), summary(change)
-    gain = sign * (c["median"] - p["median"])
+    gain, iqr = sign * (change["median"] - parent["median"]), parent["q3"] - parent["q1"]
     return {"wins": wins, "losses": losses, "ties": len(gains) - wins - losses,
             "wins_9_of_10": 10 * wins >= 9 * len(gains),
-            "median_gain": gain, "parent_iqr": p["q3"] - p["q1"],
-            "gain_exceeds_iqr": gain > p["q3"] - p["q1"],
-            "bound": bound, "within_bound": gain >= -bound * abs(p["median"])}
+            "median_gain": gain, "parent_iqr": iqr, "gain_exceeds_iqr": gain > iqr,
+            "bound": bound, "within_bound": gain >= -bound * abs(parent["median"])}
 
 
 def verdict_line(name: str, v: dict) -> str:
     yes = {True: "yes", False: "NO"}
     pairs = v["wins"] + v["losses"] + v["ties"]
-    return (f"{name}: better in {v['wins']}/{pairs} pairs "
-            f"({v['losses']} worse, {v['ties']} tied), 9/10 {yes[v['wins_9_of_10']]}; median gain {v['median_gain']:.4g} against parent "
-            f"IQR {v['parent_iqr']:.4g}, beyond it {yes[v['gain_exceeds_iqr']]}; "
-            f"within the {v['bound']:g} bound {yes[v['within_bound']]}")
+    return (f"{name}: better in {v['wins']}/{pairs} pairs ({v['losses']} worse, "
+            f"{v['ties']} tied), 9/10 {yes[v['wins_9_of_10']]}; median gain "
+            f"{v['median_gain']:.4g} against parent IQR {v['parent_iqr']:.4g}, beyond it "
+            f"{yes[v['gain_exceeds_iqr']]}; within the {v['bound']:g} bound "
+            f"{yes[v['within_bound']]}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,10 +175,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{side}: CPU/wall below {FLAG_BELOW} of the median on seeds "
                   f"{record['usage'][side]['flagged_seeds']} (kept)")
     for name, (direction, bound) in ends.items():
-        v = verdict(direction, bound, values("parent", name), values("change", name))
+        sides = {side: summary(values(side, name)) for side in SIDES}
+        v = verdict(direction, bound, sides["parent"], sides["change"])
         record["metrics"][name] = {
-            "better": direction,
-            **{side: summary(values(side, name)) for side in SIDES},
+            "better": direction, **sides,
             "change_better_pairs": f"{v['wins']}/{len(args.seeds)}",
             "verdict": v,
         }
