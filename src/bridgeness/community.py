@@ -28,8 +28,7 @@ levels keep a dict of weights per node. A run peaks at about
 numbers, one block of ``max(_BLOCK, C)`` CSR incidences at a time, so the
 bincount of each block costs no more than the block. It peaks at about 25
 bytes per incidence of one block plus ``24 C + 8 (n + 1)`` above the graph
-and partition (0.47 MiB at n=10000, C=300; 0.40 MiB measured, where the
-whole-incidence arrays peaked at 2.44 MiB).
+and partition (0.47 MiB at n=10000, C=300; 0.40 MiB measured).
 """
 from __future__ import annotations
 

@@ -17,23 +17,22 @@ Memory, for m edges (or edge lines) and n nodes: the graph keeps
 two references per line while it parses, and at its peak under
 ``24 m`` bytes more than the graph and table it returns (13 bytes per
 line on the 75,080-line edge list of ``generate --n 10000 --seed 3``);
-:func:`write_edge_list` picks the edges from one slice of the incidences
-at a time and holds about 130 bytes per line of one chunk of
-``_WRITE_CHUNK`` lines, whatever m is.
+:func:`write_edge_list` writes the edges of one block of ``_WRITE_CHUNK``
+incidences at a time and holds about 100 bytes per incidence of one
+block, whatever m is.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
-_WRITE_CHUNK = 1 << 13  # edge lines formatted per write by write_edge_list
+_WRITE_CHUNK = 1 << 13  # incidences read per write by write_edge_list (two per edge)
 
 
 class EdgeListError(ValueError):
@@ -271,19 +270,13 @@ def write_rows(stream: IO[str], header: str, fmt: str, *columns: Iterable) -> No
 
 def write_edge_list(graph: Graph, table: NodeTable, stream: IO[str]) -> None:
     """Write each edge once as a sorted ``lo hi`` line, reloadable by
-    ``load_edge_list``, ``_WRITE_CHUNK`` lines per write. The edges are the
-    incidences above the diagonal, picked from ``_WRITE_CHUNK`` incidences
-    at a time."""
+    ``load_edge_list``: the incidences above the diagonal of each block of
+    ``_WRITE_CHUNK`` incidences, in one write per block."""
     ids = table.ids
-    lo = hi = graph.indices[:0]  # edges picked and not yet written
-    # a last, empty block flushes the rest
-    for rows, cols in chain(incidence_blocks(graph, _WRITE_CHUNK), [(lo, hi)]):
+    for rows, cols in incidence_blocks(graph, _WRITE_CHUNK):
         upper = rows < cols
-        lo, hi = np.concatenate((lo, rows[upper])), np.concatenate((hi, cols[upper]))
-        while len(lo) >= _WRITE_CHUNK or (len(lo) and not len(rows)):
-            write_rows(stream, "", "%s %s\n", [ids[u] for u in lo[:_WRITE_CHUNK].tolist()],
-                       [ids[v] for v in hi[:_WRITE_CHUNK].tolist()])
-            lo, hi = lo[_WRITE_CHUNK:], hi[_WRITE_CHUNK:]
+        write_rows(stream, "", "%s %s\n", [ids[u] for u in rows[upper].tolist()],
+                   [ids[v] for v in cols[upper].tolist()])
 
 
 def load_partition(stream: IO[str] | Iterable[str], table: NodeTable) -> Partition:

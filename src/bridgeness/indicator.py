@@ -19,8 +19,7 @@ Memory above the graph and partition: the rows, foreign communities and
 values of the I incidences, G and the block, ``24 I + 8 n + max(_SCRATCH,
 8 C)`` bytes, or ``40 I`` while the values are formed if that is more, plus
 about 32 bytes per incidence of one block of ``_BLOCK``. At n=10000,
-m=75080, I=30032 and C=300 that is 2.26 MiB; 1.85 MiB was measured, where
-the whole-incidence arrays peaked at 4.96 MiB.
+m=75080, I=30032 and C=300 that is 2.26 MiB; 1.85 MiB was measured.
 """
 from __future__ import annotations
 

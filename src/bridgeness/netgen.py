@@ -26,25 +26,25 @@ communities that are large enough for the node's degree.
 
 Each node's neighbours are a set only while its own community is wired,
 since that wiring reads and writes only its members' rows; then the set
-becomes a sorted list. Rewiring keeps those same-label rows, a short list
-per node of the other-label neighbours it gained, every entry the one int
-object of its node, and only the index the selection rule samples beside
-them: none for ``"node"``, which draws from the rows, and the intra-link
-list and its position dict for ``"link"``. The index is freed after the
-rewiring; then the two rows of each node, merged and sorted, become its
-row of the CSR, so set iteration order never reaches the output. The
+becomes a sorted list. Rewiring edits those same-label rows and a short
+list per node of the other-label neighbours it gains, every entry the one
+int object of its node. ``"node"`` draws from the rows; ``"link"`` also
+samples an int64 array of the intra links, 16 bytes per link, freed after
+the rewiring. Then the two rows of each node, merged and sorted, become
+its row of the CSR, so set iteration order never reaches the output. The
 ``tracemalloc`` peak of :func:`generate` at mean degree 15 (n from 3000
-to 40000) is about ``70 m`` bytes for ``"node"``, in the CSR build, and
-``180 m`` to ``220 m`` for ``"link"``, where its position dict is built
-(at n=10000, seed 3, 4.9 and 12.7 MiB).
+to 40000) is about ``65 m`` bytes under either rule, 62 to 70 per edge
+(at n=10000, seed 3, 4.4 MiB for ``"node"`` and 4.8 MiB for ``"link"``,
+after an earlier call in the same interpreter).
 """
 from __future__ import annotations
 
 import logging
 import math
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -149,8 +149,12 @@ def _power_law(u: np.ndarray, lo: float, hi: float, gamma: float) -> np.ndarray:
 
 def _sample_degrees(config: LfrConfig, rng: np.random.Generator) -> np.ndarray:
     """Truncated power-law degrees, rescaled to the target mean."""
-    raw = _power_law(rng.random(config.n), config.min_degree, config.max_degree, config.exponent)
-    raw *= config.mean_degree / raw.mean()
+    with np.errstate(all="ignore"):  # an extreme law is refused below, not warned about
+        raw = _power_law(rng.random(config.n), config.min_degree, config.max_degree,
+                         config.exponent)
+        raw *= config.mean_degree / raw.mean()
+    if not (raw < 2.0**63).all():  # also false for NaN
+        raise ValueError("the degree law gives degrees that are not finite or do not fit int64")
     return np.maximum(np.rint(raw).astype(np.int64), 1)
 
 
@@ -347,91 +351,58 @@ def _pair_stubs_assortative(
     return edges, dropped
 
 
-@dataclass
-class _WiringState:
-    """Mutable edge structures shared by the rewiring phase.
+def _rewire_to_mu(
+    labels: np.ndarray,
+    intra: list[list[int]],
+    inter: list[list[int]],
+    nodes: list[int],
+    links: np.ndarray | None,
+    target_mu: float,
+    rng: np.random.Generator,
+) -> tuple[float, bytearray, int, int]:
+    """Convert intra links to inter links until the mixing target is met.
 
     ``intra[v]`` holds the sorted same-label neighbours of ``v`` and
     ``inter[v]`` the other-label ones, in the order rewiring added them;
-    every entry is ``nodes[w]`` for node ``w``. ``drop_intra`` keeps
-    ``intra`` and, for ``"link"``, ``intra_edges`` and ``intra_pos``.
-    """
-
-    labels: np.ndarray
-    intra: list[list[int]]
-    inter: list[list[int]]
-    nodes: list[int]
-    selection: str
-    intra_edges: list[tuple[int, int]] = field(default_factory=list)
-    intra_pos: dict[tuple[int, int], int] = field(init=False, repr=False)
-    inter_count: int = field(init=False)
-    edge_count: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.inter_count = sum(map(len, self.inter)) // 2
-        self.edge_count = sum(map(len, self.intra)) // 2 + self.inter_count
-        if self.selection == "link":
-            self.intra_pos = {e: i for i, e in enumerate(self.intra_edges)}
-
-    def drop_intra(self, u: int, v: int) -> None:
-        for a, b in ((u, v), (v, u)):
-            row = self.intra[a]
-            del row[bisect_left(row, b)]
-        if self.selection == "node":
-            return
-        key = (u, v) if u < v else (v, u)
-        pos = self.intra_pos.pop(key)
-        last = self.intra_edges[-1]
-        self.intra_edges[pos] = last
-        self.intra_edges.pop()
-        if last != key:
-            self.intra_pos[last] = pos
-
-    def add_inter(self, u: int, v: int) -> None:
-        self.inter[u].append(self.nodes[v])
-        self.inter[v].append(self.nodes[u])
-        self.inter_count += 1
-
-    def mu(self) -> float:
-        return self.inter_count / self.edge_count if self.edge_count else 0.0
-
-
-def _rewire_to_mu(
-    state: _WiringState,
-    target_mu: float,
-    rng: np.random.Generator,
-) -> tuple[frozenset[int], int, int]:
-    """Convert intra links to inter links until the mixing target is met.
-
-    ``selection="node"`` picks the kept endpoint uniformly over nodes that
-    still own an intra link (degree-unbiased); ``"link"`` picks an intra
-    link uniformly and keeps a random endpoint (degree-biased, the classic
-    construction). An attempt whose far end has no other link is dropped,
-    since an isolated node cannot appear in the edge list. The freed far
-    end reattaches to a random external stub (degree-proportional, see
+    every entry is ``nodes[w]`` for node ``w``, and both are edited in
+    place. With ``links`` None (``selection="node"``) the kept endpoint is
+    drawn uniformly over the nodes that still own an intra link
+    (degree-unbiased). Otherwise ``links`` is the ``(L, 2)`` array of the
+    intra links as ``(lo, hi)`` rows, of which the first ``live`` are left:
+    a draw picks one uniformly and keeps a random endpoint (degree-biased,
+    the classic construction), and a move copies the last live row over
+    it. An attempt whose far end has no other link is dropped, since an
+    isolated node cannot appear in the edge list. The freed far end
+    reattaches to a random external stub (degree-proportional, see
     ``_FenwickSampler``), with at most ``_MAX_TARGET_RETRIES`` stub draws
     per attempt; past ``_MAX_REWIRE_ATTEMPTS`` attempts it raises
     GenerationError, and so it does as soon as every intra link left joins
-    two nodes of degree 1, since no attempt can move one. Returns the set of
-    kept endpoints, the attempts and the refused stub draws.
+    two nodes of degree 1, since no attempt can move one. Returns the
+    achieved mixing fraction, a flag per node set for the kept endpoints,
+    the attempts and the refused stub draws.
     """
-    n = len(state.intra)
-    labels = state.labels.tolist()
-    stubs = _FenwickSampler([len(a) + len(b) for a, b in zip(state.intra, state.inter)])
+    n = len(intra)
+    labels = labels.tolist()
+    stubs = _FenwickSampler([len(a) + len(b) for a, b in zip(intra, inter)])
     degree = stubs.weights
+    edges = stubs.total // 2
+    live = edges - sum(map(len, inter)) // 2  # the intra links left
+
+    def mu() -> float:
+        return (edges - live) / edges if edges else 0.0
 
     def lone_intra(v: int) -> bool:
         """Whether v's only link is an intra link to another node of degree 1."""
-        row = state.intra[v]
+        row = intra[v]
         return degree[v] == 1 and len(row) == 1 and degree[row[0]] == 1
 
     # no attempt can rewire a dead link, one between two nodes of degree 1;
     # a rewire changes the degree of u and w only, so it updates the count
     dead = sum(map(lone_intra, range(n))) // 2
-    rewired: set[int] = set()
+    rewired = bytearray(n)  # a flag per node; generate makes the set once the rows are freed
     attempts = rejections = 0
-    while state.mu() < target_mu:
-        if state.edge_count - state.inter_count == dead:
+    while mu() < target_mu:
+        if live == dead:
             raise GenerationError(f"mu target {target_mu} unreachable: " + (
                 f"each of the {dead} intra-community links left joins two nodes of degree 1"
                 if dead else "no intra-community links left"))
@@ -440,15 +411,17 @@ def _rewire_to_mu(
             raise GenerationError(
                 f"mu target {target_mu} not reached after {_MAX_REWIRE_ATTEMPTS} attempts")
 
-        if state.selection == "node":
+        if links is None:
             v = int(rng.integers(n))
-            intra = state.intra[v]
-            if not intra:
+            row = intra[v]
+            if not row:
                 continue  # rejection keeps the draw uniform over eligible nodes
-            u = intra[int(rng.integers(len(intra)))]
+            u = row[int(rng.integers(len(row)))]
         else:
-            a, b = state.intra_edges[int(rng.integers(len(state.intra_edges)))]
-            v, u = (a, b) if rng.random() < 0.5 else (b, a)
+            pos = int(rng.integers(live))
+            v, u = links[pos].tolist()
+            if rng.random() >= 0.5:
+                v, u = u, v
         if degree[u] == 1:
             continue
 
@@ -456,16 +429,21 @@ def _rewire_to_mu(
         # intra[v] holds only v's label, so inter[v] settles adjacency
         for _ in range(_MAX_TARGET_RETRIES):
             w = stubs.draw(rng)
-            if labels[w] != labels[v] and w not in state.inter[v]:
+            if labels[w] != labels[v] and w not in inter[v]:
                 dead -= lone_intra(w)  # w gains a link
-                state.drop_intra(v, u)
-                state.add_inter(v, w)
+                for a, b in ((u, v), (v, u)):
+                    del intra[a][bisect_left(intra[a], b)]
+                inter[v].append(nodes[w])
+                inter[w].append(nodes[v])
+                live -= 1
+                if links is not None:
+                    links[pos] = links[live]
                 stubs.move(u, w)
                 dead += lone_intra(u)  # and u, of degree 2 or more, loses one
-                rewired.add(v)
+                rewired[v] = 1
                 break
             rejections += 1
-    return frozenset(rewired), attempts, rejections
+    return mu(), rewired, attempts, rejections
 
 
 def generate(config: LfrConfig) -> GeneratedNetwork:
@@ -479,7 +457,7 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
     # row is a set while its community is wired and a sorted list after
     intra: list = [None] * config.n
     nodes = list(range(config.n))
-    intra_edges: list[tuple[int, int]] = []  # only the link rule samples it
+    links = array("q") if config.selection == "link" else None  # its index, in wiring order
     dropped_stubs = 0
     for c, size in enumerate(sizes):
         members = np.flatnonzero(labels == c)
@@ -496,31 +474,29 @@ def generate(config: LfrConfig) -> GeneratedNetwork:
         wired, dropped = _pair_stubs_assortative(members, degrees, intra, nodes, rng)
         for v in rows:
             intra[v] = sorted(intra[v])
-        if config.selection == "link":
-            intra_edges += [(u, v) if u < v else (v, u) for u, v in wired]
+        if links is not None:
+            links.extend(chain.from_iterable(wired))
         dropped_stubs += dropped
 
     inter: list[list[int]] = [[] for _ in range(config.n)]
-    state = _WiringState(labels=labels, intra=intra, inter=inter, nodes=nodes,
-                         selection=config.selection, intra_edges=intra_edges)
-    del nodes, intra_edges
-    rewired, attempts, rejections = frozenset(), 0, 0
-    if config.mu > 0.0:
-        rewired, attempts, rejections = _rewire_to_mu(state, config.mu, rng)
-
-    achieved = state.mu()
-    del state  # the rewiring index goes before the CSR build
+    if links is not None:
+        links = np.frombuffer(links, dtype=np.int64).reshape(-1, 2)
+        links.sort(axis=1)  # each link as (lo, hi)
+    achieved, rewired, attempts, rejections = _rewire_to_mu(
+        labels, intra, inter, nodes, links, config.mu, rng)
+    del nodes, links  # the rewiring index goes before the CSR build
     indptr = np.zeros(config.n + 1, dtype=np.int64)
     np.cumsum([len(a) + len(b) for a, b in zip(intra, inter)], out=indptr[1:])
     indices = np.fromiter(chain.from_iterable(sorted(a + b) for a, b in zip(intra, inter)),
                           dtype=np.int64, count=indptr[-1])
+    del intra, inter  # before the set of kept endpoints is built
     graph = Graph(config.n, indptr, indices)
     partition = Partition(labels=labels, community_count=config.communities)
     return GeneratedNetwork(
         graph=graph,
         ground_truth=partition,
         achieved_mu=achieved,
-        rewired_nodes=rewired,
+        rewired_nodes=frozenset(compress(range(config.n), rewired)),
         dropped_stubs=dropped_stubs,
         rewire_attempts=attempts,
         target_rejections=rejections,

@@ -200,6 +200,48 @@ def test_main_prints_and_records_each_verdict(tmp_path, monkeypatch, capsys):
     assert metric["verdict"]["gain_exceeds_iqr"] and metric["verdict"]["within_bound"]
 
 
+def test_one_seed_records_both_values_and_the_better_side(tmp_path, monkeypatch, capsys):
+    # a held-out seed: values and the better side, no quartiles, no verdict
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+            {"name": "pipeline_s", "better": "lower", "bound": 0.25},
+            {"name": "score", "better": "higher", "bound": 0.05},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}))
+
+    def fake_run(checkout, workload, seed, seconds):
+        change = checkout.name == "change"
+        return {"failed": 0, "environment": None, "metrics": {
+            "pipeline_s": {"value": 1.0 if change else 1.5}, "score": {"value": 2.0},
+            "peak_rss_mb": {"value": 50.0 if change else 40.0}},
+            "raw": {"wall_s": 1.0, "kernel_s": 0.05}, "passes": 3,
+            "usage": {"wall_s": 1.0, "cpu_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--seeds", "11", "--label", "t"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "pipeline_s: parent 1.5, change 1, better: change (one seed: no verdict)" in out
+    assert "score: parent 2, change 2, better: tie (one seed: no verdict)" in out
+    assert "peak_rss_mb: parent 40, change 50, better: parent (one seed: no verdict)" in out
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    assert record["seeds"] == [11]
+    assert record["metrics"]["pipeline_s"] == {
+        "better": "lower", "better_side": "change",
+        "parent": {"median": 1.5, "runs": [1.5]}, "change": {"median": 1.0, "runs": [1.0]}}
+    assert record["passes"]["change"] == {"median": 3, "runs": [3]}
+    assert record["usage"]["parent"]["flagged_seeds"] == []
+
+
+def test_no_seed_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seeds", "5-3",
+                          "--label", "t"])
+    assert exit_.value.code == 2
+    assert "--seeds names no seed" in capsys.readouterr().err
+
+
 PASSES_LINE = ("passes: 3, of which traced 0; wall seconds per pass 1.300, 1.200, 1.250; "
                "calibration kernel seconds 0.0522, 0.0530, 0.0510")
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -384,6 +385,22 @@ def test_generate_bad_exponent_exits_1(tmp_path, capsys, value):
     assert code == 1
     assert "error: generation failed: exponent must be > 1" in capsys.readouterr().err
     assert not (tmp_path / "x.edges").exists()
+
+
+@pytest.mark.parametrize("flag", ["--exponent", "--mean-degree"])
+def test_generate_extreme_degree_law_exits_1_without_a_warning(tmp_path, capsys, flag):
+    # rescaled draws that are not finite are refused before the int64 cast,
+    # which would warn and make every degree 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["generate", "--n", "200", "--communities", "4", "--mu", "0.2", "--seed", "1",
+                     flag, "1e308", "--output-prefix", str(tmp_path / "x")])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: generation failed: the degree law gives degrees that are not finite or do not "
+        "fit int64"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lfr_config_fields_are_the_generate_options():

@@ -15,7 +15,6 @@ from bridgeness import (
 )
 from bridgeness.netgen import (
     _EXACT_UNIT, _assign_communities, _FenwickSampler, _rewire_to_mu, _weighted_index,
-    _WiringState,
 )
 
 from util import (
@@ -104,18 +103,29 @@ def test_infeasible_configs_raise():
     assert unmixed.ground_truth.community_count == 1
 
 
+def link_index(intra):
+    """The link rule's index over the rows ``intra``, in sorted order."""
+    return np.array([(u, v) for u, row in enumerate(intra) for v in row if u < v],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def rewire(labels, intra, inter, selection, target_mu, seed, links=None):
+    """``_rewire_to_mu`` on rows of plain ints, with the link rule's index
+    ``links``, or a sorted one if it is not given."""
+    if selection == "link" and links is None:
+        links = link_index(intra)
+    return _rewire_to_mu(np.asarray(labels), intra, inter, list(range(len(intra))), links,
+                         target_mu, np.random.default_rng(seed))
+
+
 def test_rewire_unreachable_target_errors(monkeypatch):
     # both intra edges are saturated toward the outside: every rewire target
-    # is already adjacent, so the mu target cannot be met
-    labels = np.array([0, 0, 1, 1])
-    state = _WiringState(labels=labels, intra=[[1], [0], [3], [2]],
-                         inter=[[2, 3], [2, 3], [0, 1], [0, 1]], nodes=list(range(4)),
-                         selection="node")
-    assert (state.edge_count, state.inter_count) == (6, 4)
+    # is already adjacent, so the mu target (4 of 6 links are inter) cannot be met
     monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
     monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 200)
     with pytest.raises(GenerationError, match="after 200 attempts"):
-        _rewire_to_mu(state, 0.95, np.random.default_rng(0))
+        rewire([0, 0, 1, 1], [[1], [0], [3], [2]], [[2, 3], [2, 3], [0, 1], [0, 1]],
+               "node", 0.95, 0)
 
 
 def test_rewiring_exhaustion_errors(monkeypatch):
@@ -124,12 +134,10 @@ def test_rewiring_exhaustion_errors(monkeypatch):
     monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
     monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 500)
     for selection in ("node", "link"):
-        state = _WiringState(labels=np.array([0, 0, 1, 1]), intra=[[1], [0], [3], [2]],
-                             inter=[[], [], [], []], nodes=list(range(4)), selection=selection,
-                             intra_edges=[(0, 1), (2, 3)])
+        intra, inter = [[1], [0], [3], [2]], [[], [], [], []]
         with pytest.raises(GenerationError, match="unreachable: each of the 2 intra-community"):
-            _rewire_to_mu(state, 0.99, np.random.default_rng(1))
-        assert state.intra == [[1], [0], [3], [2]] and state.mu() == 0.0
+            rewire([0, 0, 1, 1], intra, inter, selection, 0.99, 1)
+        assert intra == [[1], [0], [3], [2]] and inter == [[], [], [], []]
 
 
 @pytest.mark.parametrize("config, dead", [
@@ -147,18 +155,15 @@ def test_generate_stops_once_every_intra_link_left_is_dead(config, dead):
 
 @pytest.mark.parametrize("selection", ["node", "link"])
 def test_rewiring_drains_every_intra_link_without_isolating_a_node(monkeypatch, selection):
-    labels = np.array([0, 0, 0, 1, 1, 1])
     intra = [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]
-    state = _WiringState(labels=labels, intra=intra, inter=[[] for _ in range(6)],
-                         nodes=list(range(6)), selection=selection,
-                         intra_edges=[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    inter = [[] for _ in range(6)]
     monkeypatch.setattr(netgen, "_MAX_TARGET_RETRIES", 8)
     monkeypatch.setattr(netgen, "_MAX_REWIRE_ATTEMPTS", 500)
-    rewired, attempts, _ = _rewire_to_mu(state, 0.99, np.random.default_rng(1))
-    assert state.mu() == 1.0
-    assert rewired  # every intra edge converted before the target was hit
+    mu, rewired, attempts, _ = rewire([0, 0, 0, 1, 1, 1], intra, inter, selection, 0.99, 1)
+    assert mu == 1.0 and intra == [[]] * 6
+    assert any(rewired)  # every intra edge converted before the target was hit
     assert attempts >= 6  # one per converted link at least
-    assert all(state.inter)  # every node keeps a link
+    assert all(inter)  # every node keeps a link
 
 
 @pytest.mark.parametrize("selection", ["node", "link"])
@@ -173,70 +178,50 @@ def test_generate_leaves_no_node_isolated(selection):
 
 
 def test_rewiring_an_empty_graph_errors():
-    state = _WiringState(labels=np.array([0, 1]), intra=[[], []], inter=[[], []],
-                         nodes=[0, 1], selection="node")
     with pytest.raises(GenerationError, match="no intra-community links left"):
-        _rewire_to_mu(state, 0.5, np.random.default_rng(0))
+        rewire([0, 1], [[], []], [[], []], "node", 0.5, 0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(2, 40), communities=st.integers(1, 5), p=st.floats(0.05, 0.6),
-       steps=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
-def test_wiring_state_intra_lists_follow_drops_and_adds(n, communities, p, steps, seed):
-    for selection in ("node", "link"):  # the same graph and steps for each rule's index
-        check_wiring_state(selection, n, communities, p, steps, seed)
-
-
-def check_wiring_state(selection, n, communities, p, steps, seed):
+       target_mu=st.floats(0.0, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_rewiring_keeps_the_rows_and_the_link_index_in_step(n, communities, p, target_mu, seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(communities, size=n)
-    adjacency = [set() for _ in range(n)]  # the reference, kept beside the state
-    intra_edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-                if labels[u] == labels[v]:
-                    intra_edges.append((u, v))
-    edge_count = sum(map(len, adjacency)) // 2
-
-    def expected(v, same=True):
-        return sorted(w for w in adjacency[v] if (labels[w] == labels[v]) == same)
-
-    state = _WiringState(labels=labels, intra=[expected(v) for v in range(n)],
-                         inter=[expected(v, same=False) for v in range(n)],
-                         nodes=list(range(n)), selection=selection,
-                         intra_edges=list(intra_edges))
-    assert state.edge_count == edge_count
-    assert state.inter_count == edge_count - len(intra_edges)
-
-    def check():
-        assert all(state.intra[v] == expected(v) for v in range(n))
-        assert all(sorted(state.inter[v]) == expected(v, same=False) for v in range(n))
+    # mostly intra links, so that most targets take rewiring to reach
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < (p if labels[u] == labels[v] else p / 8)]
+    linked = {v for e in edges for v in e}
+    for selection in ("node", "link"):  # the same graph for each rule
+        intra, inter = [[] for _ in range(n)], [[] for _ in range(n)]
+        for u, v in edges:
+            rows = intra if labels[u] == labels[v] else inter
+            rows[u].append(v)
+            rows[v].append(u)
+        for row in intra:
+            row.sort()
+        links = link_index(intra) if selection == "link" else None
+        with mock.patch.object(netgen, "_MAX_REWIRE_ATTEMPTS", 300):
+            try:
+                mu, rewired, _, _ = rewire(labels, intra, inter, selection, target_mu, seed,
+                                           links)
+            except GenerationError:  # the rows are checked as the error left them
+                mu = rewired = None
+        pairs = {(v, w) for v in range(n) for w in intra[v] + inter[v]}
+        assert sum(len(a) + len(b) for a, b in zip(intra, inter)) == len(pairs) == 2 * len(edges)
+        assert all(row == sorted(row) for row in intra)
+        assert all((w, v) in pairs for v, w in pairs)  # symmetric
+        assert all(labels[w] == labels[v] for v in range(n) for w in intra[v])
+        assert all(labels[w] != labels[v] for v in range(n) for w in inter[v])
+        assert all(intra[v] or inter[v] for v in linked)  # no node left isolated
+        inter_count = sum(map(len, inter)) // 2
+        if mu is not None:
+            assert mu == (inter_count / len(edges) if edges else 0.0) and mu >= target_mu
+            assert all(inter[v] for v in range(n) if rewired[v])
         if selection == "link":
-            assert sorted(state.intra_edges) == [
-                (u, v) for u in range(n) for v in expected(u) if u < v]
-            assert state.intra_pos == {e: i for i, e in enumerate(state.intra_edges)}
-
-    check()
-    added = 0
-    for _ in range(steps):
-        intra = [(u, v) for u in range(n) for v in expected(u) if u < v]
-        if intra and rng.random() < 0.6:
-            u, v = intra[int(rng.integers(len(intra)))]
-            state.drop_intra(*((u, v) if rng.random() < 0.5 else (v, u)))
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
-        else:
-            u, v = (int(x) for x in rng.integers(n, size=2))
-            if labels[u] != labels[v] and v not in adjacency[u]:
-                state.add_inter(u, v)
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-                added += 1
-        check()
-    assert state.inter_count == edge_count - len(intra_edges) + added
+            live = len(edges) - inter_count
+            assert sorted(map(tuple, links[:live].tolist())) == [
+                (v, w) for v in range(n) for w in intra[v] if v < w]
 
 
 def test_bias_result_fields():
@@ -275,13 +260,11 @@ def test_dropped_stubs_returned_and_logged(caplog):
 
 
 def test_generate_peak_memory_at_n_10000():
-    # the documented bounds in bytes per edge, about 10% above the measured
-    # 68.8 (node) and 177.3 (link): each node's neighbours are a set only
-    # while its community is wired, then a sorted row, and the CSR is read
-    # from the rows; the node rule peaked at 215 while every node kept a
-    # set up to the CSR build, and at 36 MiB when both rules' indexes and
-    # a fresh int per stub were kept as well
-    for selection, bound in (("node", 76), ("link", 196)):
+    # the documented bound in bytes per edge, above the measured 62.1
+    # (node) and 66.8 (link): each node's neighbours are a set only while
+    # its community is wired, then a sorted row, the link rule's index is
+    # 16 bytes per link, and the CSR is read from the rows
+    for selection in ("node", "link"):
         tracemalloc.start()
         try:
             net = generate(LfrConfig(n=10000, communities=300, mu=0.2, seed=3,
@@ -290,7 +273,7 @@ def test_generate_peak_memory_at_n_10000():
         finally:
             tracemalloc.stop()
         assert net.graph.edge_count == 75080
-        assert peak <= bound * net.graph.edge_count, selection
+        assert peak <= 76 * net.graph.edge_count, selection
 
 
 def test_rewire_counters_count_attempts_and_refused_draws(monkeypatch):
@@ -317,23 +300,27 @@ def test_rewire_counters_count_attempts_and_refused_draws(monkeypatch):
 
 @pytest.mark.parametrize("selection", ["node", "link"])
 def test_adjacency_sets_share_one_int_per_node(monkeypatch, selection):
-    states = []
+    calls = []
 
-    def check_state(state, *args, **kwargs):
-        result = _rewire_to_mu(state, *args, **kwargs)
-        # checked while the wiring state is live, before the CSR build
-        rows = [*state.intra, *state.inter]
-        assert state.nodes == list(range(1000))
-        assert all(w is state.nodes[w] for row in rows for w in row)
-        assert sum(map(len, rows)) == 2 * state.edge_count
-        assert all(row == sorted(row) for row in state.intra)
-        assert hasattr(state, "intra_pos") == (selection == "link")
-        states.append(state)
+    def check_rows(labels, intra, inter, nodes, links, *args):
+        stubs = sum(map(len, intra))
+        result = _rewire_to_mu(labels, intra, inter, nodes, links, *args)
+        # checked while the rows are live, before the CSR build
+        rows = [*intra, *inter]
+        assert nodes == list(range(1000))
+        assert all(w is nodes[w] for row in rows for w in row)
+        assert sum(map(len, rows)) == stubs  # every link was intra before the rewiring
+        assert all(row == sorted(row) for row in intra)
+        assert (links is None) == (selection == "node")
+        if links is not None:
+            assert links.dtype == np.int64 and len(links) == stubs // 2
+            assert (links[:, 0] < links[:, 1]).all()
+        calls.append(result)
         return result
 
-    monkeypatch.setattr(netgen, "_rewire_to_mu", check_state)
+    monkeypatch.setattr(netgen, "_rewire_to_mu", check_rows)
     generate(LfrConfig(n=1000, communities=30, mu=0.2, seed=7, selection=selection))
-    assert len(states) == 1
+    assert len(calls) == 1
 
 
 degree_vectors = st.lists(st.integers(0, 60), min_size=1, max_size=300).filter(any)

@@ -26,6 +26,8 @@ outputs support no comparison. Per metric it prints and records a verdict:
 whether the change won 9 of 10 pairs, whether its median gain exceeds the
 parent's inter-quartile distance, and whether its median stays within the
 metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median).
+One seed, a held-out run, records each side's value and which side was
+better, with no quartiles and no verdict.
 """
 from __future__ import annotations
 
@@ -97,8 +99,16 @@ def seed_range(text: str) -> list[int]:
 
 
 def summary(values: list[float]) -> dict:
+    if len(values) == 1:  # one seed: no quartiles
+        return {"median": values[0], "runs": values}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def better_side(direction: str, parent: float, change: float) -> str:
+    if parent == change:
+        return "tie"
+    return "change" if (change < parent) == (direction == "lower") else "parent"
 
 
 def verdict(direction: str, bound: float, parent: dict, change: dict) -> dict:
@@ -139,8 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
     parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
-    if len(args.seeds) < 2:
-        parser.error("--seeds needs at least two seeds for quartiles")
+    if not args.seeds:
+        parser.error("--seeds names no seed")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     ends = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
@@ -176,6 +186,12 @@ def main(argv: list[str] | None = None) -> int:
                   f"{record['usage'][side]['flagged_seeds']} (kept)")
     for name, (direction, bound) in ends.items():
         sides = {side: summary(values(side, name)) for side in SIDES}
+        if len(args.seeds) == 1:
+            better = better_side(direction, sides["parent"]["median"], sides["change"]["median"])
+            record["metrics"][name] = {"better": direction, **sides, "better_side": better}
+            print(f"{name}: parent {sides['parent']['median']:.4g}, change "
+                  f"{sides['change']['median']:.4g}, better: {better} (one seed: no verdict)")
+            continue
         v = verdict(direction, bound, sides["parent"], sides["change"])
         record["metrics"][name] = {
             "better": direction, **sides,
